@@ -26,12 +26,6 @@
 //!    wakeup starts to tell, and where uring's batched one-syscall
 //!    rounds cut epoll's per-re-arm `epoll_ctl`s. Writes
 //!    `BENCH_poller_backends.json`.
-//! 8. **Hot path**: old per-event delivery and per-response allocation
-//!    versus the slab/batch/pool hot path (slot-indexed tables, one
-//!    queue lock per readiness burst, recycled payload buffers), on the
-//!    same slow-reader TCP web workload at {64, 256, 1024} connections.
-//!    Writes `BENCH_hot_path.json` with host_cores and thread-pinning
-//!    state alongside each point.
 //! 9. **Adaptive shards**: static versus adaptive dispatcher sizing
 //!    under a bursty open-loop shape (idle → spike → idle) on the
 //!    SPECweb-like keep-alive workload. The adaptive controller must
@@ -39,15 +33,6 @@
 //!    trajectory) while costing ≤ ~5% throughput against the static
 //!    baseline during the steady spike. Writes
 //!    `BENCH_adaptive_shards.json`.
-//! 10. **Shard queue kind**: the Mutex/Condvar shard queue versus the
-//!     lock-free MPSC ring (bounded Vyukov slots + overflow sidecar),
-//!     on the SPECweb-like MemNet keep-alive workload at shard counts
-//!     {1, 4, 8}. Records rps/p95 per point for both kinds plus the
-//!     ring's claim/overflow/steal counters, and the ring-vs-mutex
-//!     throughput ratio at 4 shards as the headline. Writes
-//!     `BENCH_shard_queue.json` (1-core hosts annotated per point: no
-//!     parallel contention there, so the ring's CAS path shows only its
-//!     constant-factor delta).
 //! 11. **Stage fusion**: fused straight-line segments (one queue turn
 //!     per chain) versus the per-vertex oracle on the MemNet web
 //!     workload at {1, 4} shards. Writes `BENCH_fused_stages.json`.
@@ -70,9 +55,14 @@
 //!     `BENCH_overload.json` with the server-side conservation check
 //!     (`offered == finished + shed`) and the memory envelope.
 //!
+//! Ablations 6 (blocking vs reactor writes), 8 (per-event vs batched
+//! delivery) and 10 (mutex vs ring shard queue) were deleted with the
+//! losing code paths; `BENCH_reactor_writes.json`, `BENCH_hot_path.json`
+//! and `BENCH_shard_queue.json` are kept, frozen, as their records.
+//!
 //! Knobs: `FLUX_BENCH_SECS` (default 1.5 per point); `FLUX_BENCH_ONLY`
 //! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=7`, default
-//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 7/8/9/11/12/13 to one
+//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 7/9/11/12/13 to one
 //! small point per mode (seconds, not minutes — the CI smoke legs that
 //! catch compile or panic regressions without a full sweep; quick JSON
 //! artifacts carry `"quick": true`).
@@ -265,75 +255,6 @@ fn shards_json(rows: &[(usize, flux_bench::LoadReport, u64)]) -> String {
     out
 }
 
-/// Ablation 6 (reactor write path): web-workload throughput with
-/// slow-reader clients over real TCP, blocking-write versus
-/// reactor-write `Write` node. The 8 MiB responses overrun the kernel's
-/// socket buffers, so each one drains at the clients' throttled read
-/// rate for hundreds of milliseconds; blocking writes park an I/O
-/// worker per draining response, reactor writes leave the drain to the
-/// poll thread's `POLLOUT` batch.
-fn run_reactor_writes(
-    mode: flux_servers::web::WriteMode,
-    secs: f64,
-) -> (flux_bench::LoadReport, u64, u64) {
-    use flux_net::{Listener as _, TcpAcceptor};
-
-    let mut docroot = flux_http::DocRoot::new();
-    let body: Vec<u8> = (0..8 * 1024 * 1024).map(|i| (i % 253) as u8).collect();
-    docroot.insert("/big.bin", body);
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(
-        flux_servers::web::WebSpec::new(Box::new(acceptor), docroot).write_mode(mode),
-    )
-    .runtime(RuntimeKind::event_driven_sharded(2, 4))
-    .spawn();
-    let report = flux_bench::run_slow_reader_tcp_load(
-        &addr,
-        "/big.bin",
-        16,
-        Duration::from_secs_f64(secs),
-        32 * 1024,
-        Duration::from_millis(1),
-    );
-    let counters = server
-        .handle
-        .server()
-        .stats
-        .net_counters()
-        .expect("web server installs net counters");
-    let (drained, would_block) = (counters.writes_drained(), counters.write_would_block());
-    flux_servers::web::stop(server);
-    (report, drained, would_block)
-}
-
-/// Minimal JSON encoder for the reactor-write record.
-fn reactor_writes_json(rows: &[(&str, flux_bench::LoadReport, u64, u64)]) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"bench\": \"reactor_writes_web_slow_readers\",\n  \"host_cores\": {cores},\n  \"points\": [\n"
-    );
-    for (i, (mode, r, drained, would_block)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"writes_drained\": {}, \
-             \"write_would_block\": {}}}{}\n",
-            mode,
-            r.rps(),
-            r.mbps(),
-            r.mean_latency.as_secs_f64() * 1e3,
-            r.p95_latency.as_secs_f64() * 1e3,
-            drained,
-            would_block,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Ablation 7 (poller backends): the slow-reader web workload over real
 /// TCP with `clients` concurrent throttled readers, on one readiness
 /// backend. Every connection keeps a watch registered in the reactor
@@ -414,115 +335,6 @@ fn poller_backends_json(
     out
 }
 
-/// Ablation 8 (hot path): one mode of the old-vs-new sweep. `PerEvent`
-/// is the pre-slab behaviour (one event per poll, a fresh allocation
-/// per response and request head); `Batched` is the slab/batch/pool
-/// hot path. Same slow-reader TCP web workload as ablation 7, epoll
-/// backend (the Linux default) for both. Returns the load report plus
-/// the batch counters and pinning state recorded during the run.
-struct HotPathPoint {
-    report: flux_bench::LoadReport,
-    batches: u64,
-    batch_events: u64,
-    pinning: String,
-    reactor_pinned: bool,
-}
-
-fn run_hot_path(mode: flux_servers::web::HotPath, clients: usize, secs: f64) -> HotPathPoint {
-    use flux_net::{Listener as _, TcpAcceptor};
-    use std::sync::atomic::Ordering;
-
-    let mut docroot = flux_http::DocRoot::new();
-    let body: Vec<u8> = (0..256 * 1024).map(|i| (i % 253) as u8).collect();
-    docroot.insert("/chunk.bin", body);
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(
-        flux_servers::web::WebSpec::new(Box::new(acceptor), docroot).hot_path(mode),
-    )
-    .runtime(RuntimeKind::event_driven_sharded(2, 4))
-    .spawn();
-    let report = flux_bench::run_slow_reader_tcp_load(
-        &addr,
-        "/chunk.bin",
-        clients,
-        Duration::from_secs_f64(secs),
-        16 * 1024,
-        Duration::from_millis(1),
-    );
-    let stats = &server.handle.server().stats;
-    let (mut batches, mut batch_events) = (0u64, 0u64);
-    if let Some(shards) = stats.shard_stats() {
-        for s in shards.iter() {
-            batches += s.batches.load(Ordering::Relaxed);
-            batch_events += s.batch_events.load(Ordering::Relaxed);
-        }
-    }
-    let pinning = stats.pinning.describe();
-    let reactor_pinned = server.ctx.driver.reactor_pinned();
-    flux_servers::web::stop(server);
-    HotPathPoint {
-        report,
-        batches,
-        batch_events,
-        pinning,
-        reactor_pinned,
-    }
-}
-
-/// Minimal JSON encoder for the hot-path record: host_cores and the
-/// pinning state ride alongside every point, per the perf-record
-/// protocol (1-core containers cannot show parallel speedup, only
-/// lock/allocation removal).
-fn hot_path_json(rows: &[(&'static str, usize, HotPathPoint)], quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"bench\": \"hot_path_web_slow_readers\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n  \"points\": [\n"
-    );
-    for (i, (mode, clients, p)) in rows.iter().enumerate() {
-        let mut notes: Vec<&str> = Vec::new();
-        if cores == 1 {
-            notes.push(
-                "1-core host: no parallel speedup available; deltas reflect \
-                 lock/hash/allocation removal only",
-            );
-        }
-        if *clients >= 1024 {
-            notes.push(
-                "load-generator-bound: 1024 client threads saturate the bench host \
-                 before the server; compare modes at 64-256 connections",
-            );
-        }
-        let note = if notes.is_empty() {
-            String::new()
-        } else {
-            format!(", \"note\": \"{}\"", notes.join("; "))
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"clients\": {}, \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"batches\": {}, \"batch_events\": {}, \
-             \"host_cores\": {}, \"pinning\": \"{}\", \"reactor_pinned\": {}{}}}{}\n",
-            mode,
-            clients,
-            p.report.rps(),
-            p.report.mbps(),
-            p.report.mean_latency.as_secs_f64() * 1e3,
-            p.report.p95_latency.as_secs_f64() * 1e3,
-            p.batches,
-            p.batch_events,
-            cores,
-            p.pinning,
-            p.reactor_pinned,
-            note,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Ablation 9 (adaptive shards): one phase of the bursty shape — its
 /// load report window plus the active-shard envelope observed while it
 /// ran.
@@ -574,7 +386,6 @@ fn run_adaptive_mode(mode: &'static str, policy: AdaptivePolicy, secs: f64) -> A
         shards: ADAPTIVE_SHARDS,
         io_workers: 4,
         adaptive: policy,
-        queue: flux_runtime::ShardQueueKind::Mutex,
         overload: OverloadPolicy::Unbounded,
     })
     .spawn();
@@ -784,119 +595,6 @@ fn adaptive_shards_json(points: &[AdaptiveModePoint], shards: usize, quick: bool
         out.push_str(&format!(
             "]}}{}\n",
             if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Ablation 10 (shard queue kind): one measured point — queue kind ×
-/// shard count on the SPECweb-like MemNet keep-alive workload (the
-/// ablation-5 shape, so the shard-count sweep is comparable).
-struct ShardQueuePoint {
-    kind: &'static str,
-    shards: usize,
-    report: flux_bench::LoadReport,
-    steals: u64,
-    ring_claims: u64,
-    overflowed: u64,
-}
-
-fn run_shard_queue(
-    kind: flux_runtime::ShardQueueKind,
-    name: &'static str,
-    shards: usize,
-    secs: f64,
-) -> ShardQueuePoint {
-    use flux_bench::{run_web_load, WebSet};
-    use flux_net::MemNet;
-
-    let set = std::sync::Arc::new(WebSet::build(2 << 20));
-    let net = MemNet::new();
-    let listener = net.listen("web").unwrap();
-    let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-        Box::new(listener),
-        set.docroot.clone(),
-    ))
-    .runtime(RuntimeKind::event_driven_sharded(shards, 4).shard_queue(kind))
-    .spawn();
-    let report = run_web_load(
-        &net,
-        "web",
-        &set,
-        64,
-        Duration::from_secs_f64(secs),
-        Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0)),
-    );
-    let stats = &server.handle.server().stats;
-    let steals = stats.total_steals();
-    let (mut ring_claims, mut overflowed) = (0u64, 0u64);
-    if let Some(shard_stats) = stats.shard_stats() {
-        for s in shard_stats.iter() {
-            ring_claims += s.ring_claims.load(Ordering::Relaxed);
-            overflowed += s.overflowed.load(Ordering::Relaxed);
-        }
-    }
-    flux_servers::web::stop(server);
-    ShardQueuePoint {
-        kind: name,
-        shards,
-        report,
-        steals,
-        ring_claims,
-        overflowed,
-    }
-}
-
-/// Minimal JSON encoder for the shard-queue record: host_cores and the
-/// ring-vs-mutex throughput ratio at 4 shards ride at the top, per the
-/// perf-record protocol; every point carries rps/p95 plus the ring's
-/// claim/overflow counters (zero for the mutex kind by construction).
-fn shard_queue_json(points: &[ShardQueuePoint], quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rps_at = |kind: &str, shards: usize| {
-        points
-            .iter()
-            .find(|p| p.kind == kind && p.shards == shards)
-            .map(|p| p.report.rps())
-    };
-    let headline = match (rps_at("ring", 4), rps_at("mutex", 4)) {
-        (Some(ring), Some(mutex)) if mutex > 0.0 => {
-            format!(
-                "  \"ring_vs_mutex_rps_at_4_shards\": {:.4},\n",
-                ring / mutex
-            )
-        }
-        _ => String::new(),
-    };
-    let mut out = format!(
-        "{{\n  \"bench\": \"shard_queue_web\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n{headline}  \"points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        let note = if cores == 1 {
-            ", \"note\": \"1-core host: dispatchers and producers time-share one core, so \
-             there is no cross-core queue contention for the ring to win; the delta \
-             reflects constant-factor costs only\""
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"shards\": {}, \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"steals\": {}, \"ring_claims\": {}, \
-             \"overflowed\": {}{}}}{}\n",
-            p.kind,
-            p.shards,
-            p.report.rps(),
-            p.report.mbps(),
-            p.report.mean_latency.as_secs_f64() * 1e3,
-            p.report.p95_latency.as_secs_f64() * 1e3,
-            p.steals,
-            p.ring_claims,
-            p.overflowed,
-            note,
-            if i + 1 == points.len() { "" } else { "," },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -1374,55 +1072,6 @@ fn main() {
         }
     }
 
-    if should(6) {
-        let mut t6 = Table::new(
-            "Ablation 6: reactor vs blocking writes — slow-reader web workload (TCP, 8 MiB file)",
-            &[
-                "write_mode",
-                "req_s",
-                "mbps",
-                "mean_ms",
-                "p95_ms",
-                "writes_drained",
-                "write_would_block",
-            ],
-        );
-        let mut rw_rows: Vec<(&str, flux_bench::LoadReport, u64, u64)> = Vec::new();
-        for (name, mode) in [
-            ("blocking", flux_servers::web::WriteMode::Blocking),
-            ("reactor", flux_servers::web::WriteMode::Reactor),
-        ] {
-            let (report, drained, would_block) = run_reactor_writes(mode, secs);
-            eprintln!(
-            "# write_mode={name:<9} {} req/s {} Mb/s drained {drained} would_block {would_block}",
-            f(report.rps()),
-            f(report.mbps()),
-        );
-            t6.row(&[
-                name.into(),
-                f(report.rps()),
-                f(report.mbps()),
-                format!("{:.3}", report.mean_latency.as_secs_f64() * 1e3),
-                format!("{:.3}", report.p95_latency.as_secs_f64() * 1e3),
-                drained.to_string(),
-                would_block.to_string(),
-            ]);
-            rw_rows.push((name, report, drained, would_block));
-        }
-        print!("{}", t6.render());
-        println!();
-        println!("# blocking mode parks an I/O worker per draining response (the seed behaviour);");
-        println!("# reactor mode leaves slow drains to the poll thread's POLLOUT batch, so the");
-        println!("# I/O pool only ever services reads.");
-        println!();
-        let json = reactor_writes_json(&rw_rows);
-        let json_path = "BENCH_reactor_writes.json";
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
     let quick = std::env::var("FLUX_BENCH_QUICK").as_deref() == Ok("1");
 
     if should(7) {
@@ -1501,88 +1150,6 @@ fn main() {
         }
     }
 
-    if should(8) {
-        let (client_points, secs8): (&[usize], f64) = if quick {
-            // The CI smoke leg: one small point per mode, seconds total.
-            (&[16], secs.min(0.3))
-        } else {
-            (&[64, 256, 1024], secs)
-        };
-        let mut t8 = Table::new(
-            "Ablation 8: hot path — per-event vs slab/batch/pool (TCP slow readers, 256 KiB file)",
-            &[
-                "mode",
-                "clients",
-                "req_s",
-                "mbps",
-                "mean_ms",
-                "p95_ms",
-                "batch_events",
-                "pinning",
-            ],
-        );
-        let mut hp_rows: Vec<(&'static str, usize, HotPathPoint)> = Vec::new();
-        for &clients in client_points {
-            for (name, mode) in [
-                ("per_event", flux_servers::web::HotPath::PerEvent),
-                ("batched", flux_servers::web::HotPath::Batched),
-            ] {
-                let p = run_hot_path(mode, clients, secs8);
-                eprintln!(
-                    "# mode={name:<9} clients={clients:<5} {} req/s {} Mb/s p95 {:.3} ms \
-                     batch_events {} ({}; reactor_pinned {})",
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    p.report.p95_latency.as_secs_f64() * 1e3,
-                    p.batch_events,
-                    p.pinning,
-                    p.reactor_pinned,
-                );
-                t8.row(&[
-                    name.into(),
-                    clients.to_string(),
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    format!("{:.3}", p.report.mean_latency.as_secs_f64() * 1e3),
-                    format!("{:.3}", p.report.p95_latency.as_secs_f64() * 1e3),
-                    p.batch_events.to_string(),
-                    p.pinning.clone(),
-                ]);
-                hp_rows.push((name, clients, p));
-            }
-        }
-        print!("{}", t8.render());
-        println!();
-        println!("# per_event re-creates the pre-slab steady state: one channel op, one shard");
-        println!("# queue lock+notify and a fresh allocation per event/response. batched ships");
-        println!("# each reactor round as one recycled vector, appends it to shard queues under");
-        println!("# one lock, skips the notify when the shard is known-awake, and recycles");
-        println!("# response/request buffers through bounded pools.");
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            == 1
-        {
-            println!("# NOTE: 1-core host — no parallel speedup available; deltas reflect");
-            println!("# lock/hash/allocation removal only (recorded per point in the JSON).");
-        }
-        println!();
-        // Quick runs write the JSON too (tagged "quick": true, under a
-        // separate gitignored name) so the multicore-bench CI job can
-        // assert host_cores and upload the artifact without a smoke run
-        // ever dirtying the checked-in full-sweep record.
-        let json = hot_path_json(&hp_rows, quick);
-        let json_path = if quick {
-            "BENCH_hot_path.quick.json"
-        } else {
-            "BENCH_hot_path.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
     if should(9) {
         // Short phases still cover >10 controller idle windows; quick
         // mode is the CI smoke/multicore shape.
@@ -1650,96 +1217,6 @@ fn main() {
         }
     }
 
-    if should(10) {
-        // The env knob would override the builder's kind and collapse
-        // the sweep to one side; the ablation owns the comparison.
-        std::env::remove_var("FLUX_SHARD_QUEUE");
-        let (shard_points, secs10): (&[usize], f64) = if quick {
-            (&[4], secs.min(0.3))
-        } else {
-            (&[1, 4, 8], secs)
-        };
-        let mut t10 = Table::new(
-            "Ablation 10: shard queue — Mutex/Condvar vs lock-free MPSC ring (MemNet web, 64 clients)",
-            &[
-                "kind",
-                "shards",
-                "req_s",
-                "mbps",
-                "mean_ms",
-                "p95_ms",
-                "steals",
-                "ring_claims",
-                "overflowed",
-            ],
-        );
-        // Per-run scheduler noise on a small container is ±5%, larger
-        // than the effect under measurement: full mode measures each
-        // point three times and records the median run by rps.
-        let reps = if quick { 1 } else { 3 };
-        let mut sq_points: Vec<ShardQueuePoint> = Vec::new();
-        for &shards in shard_points {
-            for (name, kind) in [
-                ("mutex", flux_runtime::ShardQueueKind::Mutex),
-                ("ring", flux_runtime::ShardQueueKind::Ring),
-            ] {
-                let mut runs: Vec<ShardQueuePoint> = (0..reps)
-                    .map(|_| run_shard_queue(kind, name, shards, secs10))
-                    .collect();
-                runs.sort_by(|a, b| a.report.rps().total_cmp(&b.report.rps()));
-                let p = runs.remove(reps / 2);
-                eprintln!(
-                    "# kind={name:<5} shards={shards:<2} {} req/s {} Mb/s p95 {:.3} ms \
-                     steals {} ring_claims {} overflowed {}",
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    p.report.p95_latency.as_secs_f64() * 1e3,
-                    p.steals,
-                    p.ring_claims,
-                    p.overflowed,
-                );
-                t10.row(&[
-                    name.into(),
-                    shards.to_string(),
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    format!("{:.3}", p.report.mean_latency.as_secs_f64() * 1e3),
-                    format!("{:.3}", p.report.p95_latency.as_secs_f64() * 1e3),
-                    p.steals.to_string(),
-                    p.ring_claims.to_string(),
-                    p.overflowed.to_string(),
-                ]);
-                sq_points.push(p);
-            }
-        }
-        print!("{}", t10.render());
-        println!();
-        println!("# mutex: every enqueue takes the shard's queue lock and may syscall-notify;");
-        println!("# ring: producers batch-claim slots with one tail CAS per group, the dispatcher");
-        println!("# batch-consumes published runs, and a full ring spills to a Mutex overflow");
-        println!("# sidecar (counted above — no drops, no unbounded spin). The contended-enqueue");
-        println!("# win needs real cross-core producers; see the per-point 1-core annotation.");
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            == 1
-        {
-            println!("# NOTE: 1-core host — no cross-core queue contention; deltas reflect");
-            println!("# constant-factor costs only (recorded per point in the JSON).");
-        }
-        println!();
-        let json = shard_queue_json(&sq_points, quick);
-        let json_path = if quick {
-            "BENCH_shard_queue.quick.json"
-        } else {
-            "BENCH_shard_queue.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
     if should(11) {
         // The env knobs would pin one interpreter (or distort the
         // fairness budget) for both sides; the ablation owns the sweep.
@@ -1750,8 +1227,8 @@ fn main() {
             "Ablation 11: stage fusion — fused segments vs per-node queue turns (MemNet web, 64 clients)",
             &["mode", "shards", "req_s", "mbps", "mean_ms", "p95_ms", "fused_execs"],
         );
-        // Median-of-3 by rps in full mode, same as ablation 10: the
-        // effect is smaller than per-run scheduler noise on CI hosts.
+        // Median-of-3 by rps in full mode: the effect is smaller than
+        // per-run scheduler noise on CI hosts.
         let reps = if quick { 1 } else { 3 };
         let mut fu_points: Vec<FusedPoint> = Vec::new();
         for shards in [1usize, 4] {
@@ -1891,10 +1368,10 @@ fn main() {
         // acceptor scheduling slices on a saturated 1-core host).
         acceptor.set_backlog(4096).expect("raise listen backlog");
         let addr = acceptor.local_addr();
-        let server = flux_servers::ServerBuilder::new(
-            flux_servers::web::WebSpec::new(Box::new(acceptor), docroot)
-                .write_mode(flux_servers::web::WriteMode::Reactor),
-        )
+        let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
+            Box::new(acceptor),
+            docroot,
+        ))
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
         .overload(OverloadPolicy::bounded(QUEUE_CAP))
         .max_conns(hold_target + 2 * active + 256)

@@ -1,9 +1,8 @@
 //! Bounded soak for the adaptive shard controller: park/wake churn
-//! under TCP connection churn, with hard invariants — run under *both*
-//! shard-queue kinds (Mutex and Ring).
+//! under TCP connection churn, with hard invariants.
 //!
-//! The CI `adaptive-soak` job runs this in release for ~30 s per queue
-//! kind (`FLUX_SOAK_SECS` caps each run, the same bounded-run idea as
+//! The CI `adaptive-soak` job runs this in release for ~30 s
+//! (`FLUX_SOAK_SECS` caps the run, the same bounded-run idea as
 //! `FLUX_BENCH_QUICK`). The controller is tuned to thrash — 500 µs
 //! ticks, parks after 2 idle ticks, wakes at depth 1 — and the load
 //! alternates short idle gaps (every one long enough to park) with
@@ -11,13 +10,7 @@
 //! insert + reactor register/deregister cycle). Any lost event, wrong
 //! response, stranded queue or unbalanced park/wake book fails the
 //! process with a non-zero exit, so controller races fail CI fast
-//! instead of shipping. The same hard invariants apply to both kinds:
-//! the ring's lock-free park/wake handshake must keep exactly the books
-//! the mutex path keeps.
-//!
-//! Setting `FLUX_SHARD_QUEUE` narrows the sweep to that one kind (the
-//! env overrides the builder knob anyway, so sweeping under it would
-//! just run the same kind twice).
+//! instead of shipping.
 //!
 //! ```sh
 //! FLUX_SOAK_SECS=30 cargo run --release -p flux-bench --bin adaptive_soak
@@ -25,7 +18,7 @@
 
 use flux_bench::env_or;
 use flux_net::{Listener as _, TcpAcceptor, TcpConn};
-use flux_runtime::{AdaptiveConfig, AdaptivePolicy, OverloadPolicy, RuntimeKind, ShardQueueKind};
+use flux_runtime::{AdaptiveConfig, AdaptivePolicy, OverloadPolicy, RuntimeKind};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,17 +28,6 @@ const SHARDS: usize = 4;
 
 fn main() {
     let secs: f64 = env_or("FLUX_SOAK_SECS", 30.0);
-    let kinds = match ShardQueueKind::from_env() {
-        Some(kind) => vec![kind],
-        None => vec![ShardQueueKind::Mutex, ShardQueueKind::Ring],
-    };
-    for kind in kinds {
-        println!("=== adaptive soak: shard queue {kind:?} ===");
-        run_soak(kind, secs);
-    }
-}
-
-fn run_soak(kind: ShardQueueKind, secs: f64) {
     let mut docroot = flux_http::DocRoot::new();
     docroot.insert("/soak.html", "adaptive soak page");
     docroot.insert("/echo.fxs", "<?fx echo \"n=\" . $n; ?>");
@@ -65,7 +47,6 @@ fn run_soak(kind: ShardQueueKind, secs: f64) {
             park_below: 0,
             wake_depth: 1,
         }),
-        queue: kind,
         overload: OverloadPolicy::Unbounded,
     })
     .spawn();
@@ -154,7 +135,7 @@ fn run_soak(kind: ShardQueueKind, secs: f64) {
     let ok = ok.load(Ordering::SeqCst);
     let transient = transient.load(Ordering::SeqCst);
     println!(
-        "soak [{kind:?}]: {cycles} cycles, {sent} requests ({ok} ok, {transient} transient), {}",
+        "soak: {cycles} cycles, {sent} requests ({ok} ok, {transient} transient), {}",
         ast.describe()
     );
 
@@ -166,35 +147,35 @@ fn run_soak(kind: ShardQueueKind, secs: f64) {
     // that stops accepting blows the rate bound.
     assert!(
         sent > 0 && ok + transient == sent,
-        "[{kind:?}] lost responses: {ok}+{transient}/{sent}"
+        "lost responses: {ok}+{transient}/{sent}"
     );
     assert!(
         transient * 100 <= sent,
-        "[{kind:?}] transient failure rate over 1%: {transient}/{sent}"
+        "transient failure rate over 1%: {transient}/{sent}"
     );
     assert!(
         parks > 0 && wakes > 0,
-        "[{kind:?}] controller never churned (parks {parks}, wakes {wakes}) — tuning broken"
+        "controller never churned (parks {parks}, wakes {wakes}) — tuning broken"
     );
     // wakes <= parks always (a shard must park before it can wake), so
     // this order cannot underflow even under overflow checks.
     assert_eq!(
         SHARDS as u64 + wakes - parks,
         active,
-        "[{kind:?}] park/wake books don't balance"
+        "park/wake books don't balance"
     );
     let shard_stats = stats.shard_stats().expect("sharded runtime ran");
     assert!(
         requests >= ok,
-        "[{kind:?}] server counted {requests} < {ok} client oks"
+        "server counted {requests} < {ok} client oks"
     );
-    println!("soak [{kind:?}] passed: {parks} parks / {wakes} wakes over {cycles} cycles");
+    println!("soak passed: {parks} parks / {wakes} wakes over {cycles} cycles");
     // Post-stop: nothing stranded on any shard queue, parked or not.
     for (i, st) in shard_stats.iter().enumerate() {
         assert_eq!(
             st.depth.load(Ordering::SeqCst),
             0,
-            "[{kind:?}] shard {i} ended with queued events"
+            "shard {i} ended with queued events"
         );
     }
 }

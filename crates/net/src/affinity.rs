@@ -1,11 +1,12 @@
-//! CPU affinity for the reactor thread (Linux `sched_setaffinity`, raw
-//! FFI — the offline build has no `libc` crate).
+//! CPU affinity for the reactor thread and the runtime's dispatcher
+//! shards (Linux `sched_setaffinity`, raw FFI — the offline build has
+//! no `libc` crate).
 //!
 //! Pinning is on by default when the host has more than one core and
-//! can be disabled with `FLUX_PIN=0`. The runtime crate carries a
-//! sibling copy of this ~40-line shim for its dispatcher shards; the
-//! two crates are deliberately independent (neither depends on the
-//! other), so the FFI glue is duplicated rather than shared.
+//! can be disabled with `FLUX_PIN=0`. The reactor pins to the last
+//! core; `flux-runtime` pins shard `N` to core `N mod host_cores`
+//! through this same module, so session-affine queues stop bouncing
+//! between caches under steal-heavy load.
 
 /// Number of hardware threads on this host.
 pub fn host_cores() -> usize {

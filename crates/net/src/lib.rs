@@ -109,8 +109,8 @@
 //!   limit.
 //!
 //! On multi-core hosts the reactor thread pins itself to a core
-//! ([`affinity`]; opt out with `FLUX_PIN=0`), matching the runtime's
-//! pinned dispatcher shards.
+//! ([`affinity`]; opt out with `FLUX_PIN=0`). The runtime pins its
+//! dispatcher shards through the same module.
 //!
 //! ## Overload invariants
 //!

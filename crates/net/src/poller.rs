@@ -453,11 +453,15 @@ fn timeout_ms(timeout: Duration) -> sys::c_int {
     timeout.as_millis().clamp(0, sys::c_int::MAX as u128) as sys::c_int
 }
 
-/// The portable `poll(2)` backend. The `pollfd` array is maintained
-/// *incrementally*: `add`/`modify`/`delete` edit it in place (an
-/// fd-indexed side table maps each fd to its array position), so the
-/// bookkeeping per wait is O(changes since the last wait) — the old
-/// rebuild-from-a-HashMap-every-round cost is gone. The kernel scan
+/// The portable `poll(2)` backend, and the end of the fallback chain
+/// (see [`create_poller`]): every host has `poll(2)`, so this backend
+/// stays even where epoll and io_uring win.
+///
+/// The `pollfd` array is maintained *incrementally*:
+/// `add`/`modify`/`delete` edit it in place (an fd-indexed side table
+/// maps each fd to its array position), so the bookkeeping per wait is
+/// O(changes since the last wait) — the old rebuild-from-a-HashMap-
+/// every-round cost is gone. The kernel scan
 /// itself remains O(watched fds): that is inherent to `poll(2)` and is
 /// exactly the cost the epoll backend exists to avoid. Both tables
 /// shrink back after churn (see `maybe_shrink`): when the watch count

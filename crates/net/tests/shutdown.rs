@@ -1,73 +1,19 @@
-//! Shutdown regression: `ConnDriver::stop` must join every driver
-//! thread (acceptor, reactor, fallback watches) so none can outlive the
-//! server and fire into a dropped channel — and must not leak
-//! connection state: a `remove_when_flushed` still in flight when the
-//! reactor stops can never complete its drain, so `stop` removes the
-//! connection (dropping its buffered output) itself.
+//! Shutdown regression: `ConnDriver::stop` must not leak connection
+//! state: a `remove_when_flushed` still in flight when the reactor
+//! stops can never complete its drain, so `stop` removes the
+//! connection (dropping its buffered output) itself. Every scenario
+//! runs once per `Poller` backend.
 //!
-//! Runs as its own integration-test binary — and therefore its own
-//! process — so scanning `/proc/self/task` sees only this test's
-//! threads. Every scenario runs once per `Poller` backend.
+//! The thread-join check lives in `shutdown_threads.rs`, a binary with
+//! a single test, because it scans the whole process.
 
 #![cfg(unix)]
 
 mod util;
 
 use flux_net::{DriverEvent, TcpAcceptor, TcpConn};
-use std::io::Write as _;
 use std::time::Duration;
 use util::{backends, driver_on};
-
-/// Names of live `flux-net-*` threads (Linux; comm is truncated to 15
-/// chars by the kernel).
-#[cfg(target_os = "linux")]
-fn net_threads() -> Vec<String> {
-    let mut names = Vec::new();
-    if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
-        for t in tasks.flatten() {
-            if let Ok(comm) = std::fs::read_to_string(t.path().join("comm")) {
-                if comm.trim_end().starts_with("flux-net") {
-                    names.push(comm.trim_end().to_string());
-                }
-            }
-        }
-    }
-    names
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn stop_joins_all_driver_threads() {
-    use flux_net::Listener as _;
-
-    for backend in backends() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let driver = driver_on(backend);
-        driver.spawn_acceptor(Box::new(acceptor));
-        let mut client = TcpConn::connect(&addr).unwrap();
-        let DriverEvent::Incoming(token) = driver.next_event(Duration::from_secs(2)).unwrap()
-        else {
-            panic!()
-        };
-        driver.arm(token); // reactor thread spins up
-        client.write_all(b"x").unwrap();
-        assert_eq!(
-            driver.next_event(Duration::from_secs(2)),
-            Some(DriverEvent::Readable(token))
-        );
-        assert!(
-            !net_threads().is_empty(),
-            "driver threads exist while running ({backend:?})"
-        );
-        driver.stop();
-        assert_eq!(
-            net_threads(),
-            Vec::<String>::new(),
-            "stop() must join acceptor, reactor and watch threads ({backend:?})"
-        );
-    }
-}
 
 /// `stop` during an in-flight `remove_when_flushed`: the reactor is
 /// gone, so the deferred close can never drain — the connection (and

@@ -16,8 +16,8 @@
 //! provably awake. [`ShardStat::batches`]/[`ShardStat::batch_events`]
 //! expose the amortization factor, and on multi-core hosts each
 //! `flux-shard-N` thread pins itself to core `N mod host_cores`
-//! ([`affinity`]; opt out with `FLUX_PIN=0`), with the resulting state
-//! recorded in [`ServerStats::pinning`].
+//! (`flux_net::affinity`; opt out with `FLUX_PIN=0`), with the
+//! resulting state recorded in [`ServerStats::pinning`].
 //!
 //! The dispatcher set is also **elastic**: with
 //! [`AdaptivePolicy::Adaptive`], a controller loop samples every
@@ -34,30 +34,15 @@
 //! dispatcher set, and [`ServerStats::adaptive`] reports the active
 //! count plus cumulative park/wake totals either way.
 //!
-//! The dispatch queue itself comes in two kinds
-//! ([`ShardQueueKind`], builder knob + `FLUX_SHARD_QUEUE` env):
-//! [`ShardQueueKind::Mutex`] (the default) is the classic
-//! `Mutex<VecDeque>`-under-Condvar queue, and [`ShardQueueKind::Ring`]
-//! replaces it with a lock-free bounded MPSC ring ([`EventRing`]) —
-//! producers batch-claim slots with one CAS per event group, the
-//! dispatcher batch-consumes whole published runs, and a mutexed
-//! overflow sidecar absorbs ring-full bursts so events are never
-//! dropped. The **ring memory-ordering discipline** — the
-//! publish/consume Acquire/Release edges, the SeqCst parked-flag
-//! (Dekker) handshake that makes a known-awake dispatcher safe to skip
-//! notifying, the overflow sidecar's FIFO rules, and how stealing
-//! claims the oldest half of a published run — is documented in the
-//! [`ring`] module docs. The Mutex path stays as the ablation baseline
-//! and semantic oracle (a differential proptest runs the same event
-//! script through both kinds).
+//! Each shard's run queue is one `Mutex<VecDeque>` under a condvar:
+//! one FIFO per dispatcher, as in the paper's event runtime.
 //!
 //! ## Overload invariants
 //!
 //! Past saturation a staged pipeline is only as robust as the bounds on
 //! each stage's queue, so the sharded runtime can run under
-//! [`OverloadPolicy::Bounded`]: a hard depth cap on every shard queue
-//! (both [`ShardQueueKind`]s). The rules for where shedding may and may
-//! not happen:
+//! [`OverloadPolicy::Bounded`]: a hard depth cap on every shard queue.
+//! The rules for where shedding may and may not happen:
 //!
 //! * **Shedding happens only at the source-submission boundary**
 //!   (`route_home_batch`, the path that admits a source's burst into
@@ -142,12 +127,10 @@
 //! assert_eq!(server.stats.finished(), 10);
 //! ```
 
-pub mod affinity;
 pub mod locks;
 pub mod profile;
 pub mod profile_socket;
 pub mod registry;
-pub mod ring;
 pub mod runtimes;
 pub mod server;
 pub mod stats;
@@ -157,13 +140,12 @@ pub use locks::{FlowId, LockManager, ReentrantRwLock};
 pub use profile::{HotOrder, HotPath, PathProfiler};
 pub use profile_socket::handle_profile_conn;
 pub use registry::{NodeOutcome, NodeRegistry, SourceOutcome};
-pub use ring::{CachePadded, EventRing};
 pub use runtimes::{
     shard_index, start, AdaptiveConfig, AdaptivePolicy, OverloadConfig, OverloadPolicy,
-    RuntimeKind, ServerHandle, ShardQueueKind,
+    RuntimeKind, ServerHandle,
 };
 pub use server::{FlowCursor, FluxServer, FusionMode, LockWait, Step};
 pub use stats::{
-    AdaptiveStat, FanoutStat, LatencyHistogram, NetCounters, OverloadStat, PinningStat,
-    ServerStats, ShardLoadWindow, ShardSample, ShardStat,
+    AdaptiveStat, CachePadded, FanoutStat, LatencyHistogram, NetCounters, OverloadStat,
+    PinningStat, ServerStats, ShardLoadWindow, ShardSample, ShardStat,
 };

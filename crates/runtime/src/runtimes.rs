@@ -68,26 +68,11 @@
 //!   and the live active count surface in
 //!   [`crate::stats::ServerStats::adaptive`].
 //!
-//!   **Shard queue kinds.** The per-shard queue comes in two
-//!   interchangeable implementations, selected by [`ShardQueueKind`]
-//!   (builder knob, [`RuntimeKind::shard_queue`], or the
-//!   `FLUX_SHARD_QUEUE` env override): the default
-//!   [`ShardQueueKind::Mutex`] is the classic `Mutex<VecDeque>` under a
-//!   condvar described above, and [`ShardQueueKind::Ring`] swaps in a
-//!   lock-free bounded MPSC ring ([`crate::ring::EventRing`]) where
-//!   producers batch-claim slots with one CAS per event group and the
-//!   dispatcher batch-consumes whole published runs into a local run
-//!   buffer. Under the ring, the parked-flag handshake becomes a SeqCst
-//!   Dekker protocol (publish-then-check-parked on the producer side,
-//!   park-then-re-check-emptiness on the consumer side, notify under
-//!   the shard's sleep mutex), ring-full submissions spill to a mutexed
-//!   overflow sidecar (never dropped, never unbounded spinning), steals
-//!   claim the oldest half of the victim's published run via the same
-//!   head CAS the owner uses, and a deactivating shard forward-drains
-//!   ring + sidecar through `route_home` re-checking its flag per
-//!   event. The full ordering discipline is in the [`crate::ring`]
-//!   module docs; the Mutex path remains the ablation baseline and
-//!   semantic oracle.
+//!   **One queue per shard.** Each shard's run queue is a
+//!   `Mutex<VecDeque>` under a condvar, as the paper's single
+//!   dispatcher has one FIFO. Enqueuers, thieves and the adaptive
+//!   controller all serialize on that one lock, which is what makes the
+//!   parked-flag and park/wake handshakes above race-free.
 //!
 //!   **Shutdown.** A shard may exit only when every source loop has
 //!   exited *and* the global live-event count is zero; the count is
@@ -106,7 +91,6 @@
 //! Because Flux programs are runtime-independent, the same
 //! [`FluxServer`] value runs unchanged on any of the four.
 
-use crate::ring::EventRing;
 use crate::server::{FlowCursor, FluxServer, LockWait, Step};
 use crate::stats::{ShardLoadWindow, ShardStat};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -200,53 +184,15 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// Which implementation backs each dispatcher shard's run queue (see
-/// the module docs, "Shard queue kinds").
-///
-/// Selected per server through [`RuntimeKind::shard_queue`] or the
-/// `ServerBuilder::shard_queue` knob; the `FLUX_SHARD_QUEUE` env var
-/// (`"mutex"` / `"ring"`) overrides either at start, mirroring the
-/// `FLUX_PIN`/`FLUX_POLLER` operator overrides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardQueueKind {
-    /// `Mutex<VecDeque>` under a condvar — the default until the
-    /// multi-core CI gate confirms the ring wins, and the ablation
-    /// baseline / semantic oracle thereafter.
-    #[default]
-    Mutex,
-    /// Lock-free bounded MPSC ring ([`crate::ring::EventRing`]) with a
-    /// mutexed overflow sidecar. Ring capacity defaults to 1024 slots
-    /// per shard; `FLUX_SHARD_RING_CAP` overrides (rounded up to a
-    /// power of two).
-    Ring,
-}
-
-impl ShardQueueKind {
-    /// The `FLUX_SHARD_QUEUE` operator override, when set to a
-    /// recognized value.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("FLUX_SHARD_QUEUE")
-            .ok()?
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "ring" => Some(ShardQueueKind::Ring),
-            "mutex" => Some(ShardQueueKind::Mutex),
-            _ => None,
-        }
-    }
-}
-
 /// Whether the sharded event runtime bounds its per-shard queues.
 ///
 /// [`OverloadPolicy::Unbounded`] (the default, and the paper's
 /// semantics) lets queues grow without limit — past saturation, latency
 /// and memory grow with them. [`OverloadPolicy::Bounded`] enforces a
-/// hard depth cap on every shard queue (both [`ShardQueueKind`]s) and
-/// converts enqueue-over-cap into **shed-at-source**: the overflow
-/// payloads of a source batch are counted per shard
-/// ([`crate::stats::ShardStat`]'s `shed`, rolled up in
-/// [`crate::stats::OverloadStat`]) and handed to the registry's
+/// hard depth cap on every shard queue and converts enqueue-over-cap
+/// into **shed-at-source**: the overflow payloads of a source batch are
+/// counted per shard ([`crate::stats::ShardStat`]'s `shed`, rolled up
+/// in [`crate::stats::OverloadStat`]) and handed to the registry's
 /// `on_shed` handler *before* they enter any queue, so servers answer a
 /// cheap 503/BUSY instead of queueing doomed work. Shedding happens
 /// only at the source-submission boundary; events already admitted are
@@ -298,13 +244,11 @@ pub enum RuntimeKind {
     /// `shards: 1` is the paper's single-dispatcher configuration,
     /// `adaptive` decides whether the dispatcher set is fixed
     /// ([`AdaptivePolicy::Static`]) or resized under load by the
-    /// controller loop ([`AdaptivePolicy::Adaptive`]), and `queue`
-    /// selects the shard-queue implementation ([`ShardQueueKind`]).
+    /// controller loop ([`AdaptivePolicy::Adaptive`]).
     EventDriven {
         shards: usize,
         io_workers: usize,
         adaptive: AdaptivePolicy,
-        queue: ShardQueueKind,
         /// Whether shard queues are depth-capped with shed-at-source
         /// ([`OverloadPolicy`]); `Unbounded` is the paper's semantics.
         overload: OverloadPolicy,
@@ -321,7 +265,6 @@ impl RuntimeKind {
             shards: 1,
             io_workers,
             adaptive: AdaptivePolicy::Static,
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         }
     }
@@ -332,7 +275,6 @@ impl RuntimeKind {
             shards,
             io_workers,
             adaptive: AdaptivePolicy::Static,
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         }
     }
@@ -344,20 +286,8 @@ impl RuntimeKind {
             shards,
             io_workers,
             adaptive: AdaptivePolicy::adaptive(),
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         }
-    }
-
-    /// Selects the shard-queue implementation of an event-driven
-    /// runtime (no-op on the other kinds), composing with the
-    /// constructors: `RuntimeKind::event_driven_sharded(4, 4)
-    /// .shard_queue(ShardQueueKind::Ring)`.
-    pub fn shard_queue(mut self, kind: ShardQueueKind) -> Self {
-        if let RuntimeKind::EventDriven { queue, .. } = &mut self {
-            *queue = kind;
-        }
-        self
     }
 
     /// Selects the overload policy of an event-driven runtime (no-op on
@@ -412,14 +342,12 @@ pub fn start<P: Send + 'static>(server: Arc<FluxServer<P>>, kind: RuntimeKind) -
             shards,
             io_workers,
             adaptive,
-            queue,
             overload,
         } => start_event_driven(
             &server,
             shards.max(1),
             io_workers.max(1),
             adaptive,
-            queue,
             overload,
         ),
         RuntimeKind::Staged { stage_workers } => start_staged(&server, stage_workers.max(1)),
@@ -547,81 +475,24 @@ pub fn shard_index(key: u64, shards: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards.max(1)
 }
 
-/// A shard's run queue: the classic mutexed deque or the lock-free
-/// ring, per [`ShardQueueKind`]. Every shard of a run uses the same
-/// kind.
-// One instance per shard for the lifetime of the run (inside an Arc'd
-// Shard), so the Ring variant's cache-line-padded atomics (≥256 bytes)
-// cost nothing per event; boxing it would buy no memory and add a
-// pointer hop to every enqueue/dequeue.
-#[allow(clippy::large_enum_variant)]
-enum ShardQueue<P> {
-    Mutex(Mutex<VecDeque<Event<P>>>),
-    Ring(EventRing<Event<P>>),
-}
-
-impl<P> ShardQueue<P> {
-    /// The mutexed deque — only called on code paths that are
-    /// statically reachable only under [`ShardQueueKind::Mutex`].
-    fn as_mutex(&self) -> &Mutex<VecDeque<Event<P>>> {
-        match self {
-            ShardQueue::Mutex(m) => m,
-            ShardQueue::Ring(_) => unreachable!("mutex-path call on a ring shard"),
-        }
-    }
-
-    /// The ring — mirror of [`ShardQueue::as_mutex`] for the ring-only
-    /// paths.
-    fn as_ring(&self) -> &EventRing<Event<P>> {
-        match self {
-            ShardQueue::Ring(r) => r,
-            ShardQueue::Mutex(_) => unreachable!("ring-path call on a mutex shard"),
-        }
-    }
-}
-
 /// One dispatcher shard: a local FIFO run queue plus a wake-up condvar.
 struct Shard<P> {
-    queue: ShardQueue<P>,
+    queue: Mutex<VecDeque<Event<P>>>,
     cond: Condvar,
-    /// The mutex the ring dispatcher's condvar waits on (the Mutex
-    /// queue kind waits on its queue lock instead and never touches
-    /// this). Producers that observe `parked == true` acquire-release
-    /// it before notifying, so a notify can never fall between the
-    /// dispatcher's emptiness re-check and its wait.
-    sleep: Mutex<()>,
     /// True while the dispatcher is (about to be) blocked in its
-    /// condvar wait.
-    ///
-    /// Under [`ShardQueueKind::Mutex`]: set and cleared under `queue`'s
-    /// lock, and read by enqueuers while they hold that same lock, so
-    /// the check is race-free: a known-awake shard (parked == false) is
-    /// guaranteed to re-examine its queue before it can park, and
-    /// skipping the `notify_one` saves a futex syscall per event on a
-    /// busy shard.
-    ///
-    /// Under [`ShardQueueKind::Ring`] there is no queue lock; the same
-    /// guarantee comes from a SeqCst Dekker handshake (see
-    /// [`crate::ring`] docs): the producer's claim RMW precedes its
-    /// `parked` load, the dispatcher's `parked` store precedes its
-    /// emptiness re-check, so one side always observes the other.
+    /// condvar wait. Set and cleared under `queue`'s lock, and read by
+    /// enqueuers while they hold that same lock, so the check is
+    /// race-free: a known-awake shard (parked == false) is guaranteed
+    /// to re-examine its queue before it can park, and skipping the
+    /// `notify_one` saves a futex syscall per event on a busy shard.
     parked: AtomicBool,
     /// True while the adaptive controller has taken this shard out of
-    /// the routing prefix.
-    ///
-    /// Under [`ShardQueueKind::Mutex`]: set and cleared under `queue`'s
-    /// lock (the same discipline as `parked`, and by the controller
-    /// thread only), so a racing enqueuer can never observe the old
-    /// routing prefix *and* miss the flag: the dispatcher
-    /// drain-forwards everything in its queue to active siblings before
-    /// the park commits, and forwards any straggler that slips in
-    /// afterwards.
-    ///
-    /// Under [`ShardQueueKind::Ring`]: written SeqCst after the routing
-    /// prefix shrinks (park) / before it grows (wake); an enqueuer that
-    /// raced the park and landed here wakes this shard's forwarding
-    /// loop through the ordinary parked-flag notify, so stragglers are
-    /// still forwarded promptly.
+    /// the routing prefix. Set and cleared under `queue`'s lock (the
+    /// same discipline as `parked`, and by the controller thread only),
+    /// so a racing enqueuer can never observe the old routing prefix
+    /// *and* miss the flag: the dispatcher drain-forwards everything in
+    /// its queue to active siblings before the park commits, and
+    /// forwards any straggler that slips in afterwards.
     deactivated: AtomicBool,
 }
 
@@ -669,8 +540,6 @@ impl<P> ShardSet<P> {
     fn new(
         n: usize,
         sources: usize,
-        kind: ShardQueueKind,
-        ring_cap: usize,
         step_budget: usize,
         max_depth: usize,
         shed_handler: Option<Arc<dyn Fn(P) + Send + Sync>>,
@@ -678,14 +547,8 @@ impl<P> ShardSet<P> {
         ShardSet {
             shards: (0..n)
                 .map(|_| Shard {
-                    queue: match kind {
-                        ShardQueueKind::Mutex => ShardQueue::Mutex(Mutex::new(VecDeque::new())),
-                        ShardQueueKind::Ring => {
-                            ShardQueue::Ring(EventRing::with_capacity(ring_cap))
-                        }
-                    },
+                    queue: Mutex::new(VecDeque::new()),
                     cond: Condvar::new(),
-                    sleep: Mutex::new(()),
                     parked: AtomicBool::new(false),
                     deactivated: AtomicBool::new(false),
                 })
@@ -772,10 +635,7 @@ impl<P> ShardSet<P> {
     /// in-flight batch per producer — acceptable for a load-shedding
     /// threshold, and the dispatcher side only ever *shrinks* depth.
     fn shed_overflow(&self, si: usize, group: &mut Vec<Event<P>>) {
-        let depth = match &self.shards[si].queue {
-            ShardQueue::Mutex(m) => m.lock().len(),
-            ShardQueue::Ring(r) => r.len(),
-        };
+        let depth = self.shards[si].queue.lock().len();
         let room = self.max_depth.saturating_sub(depth);
         if group.len() <= room {
             return;
@@ -797,52 +657,14 @@ impl<P> ShardSet<P> {
         }
     }
 
-    /// Appends `group` to shard `si`'s queue in one lock acquisition
-    /// (Mutex kind) or one slot-claim CAS per contiguous free run (Ring
-    /// kind), waking the dispatcher only if it is parked (a running
-    /// shard re-examines its queue anyway — the notify would be a
-    /// wasted syscall). Counted in
-    /// [`ShardStat::batches`]/`batch_events`.
+    /// Appends `group` to shard `si`'s queue in one lock acquisition,
+    /// waking the dispatcher only if it is parked (a running shard
+    /// re-examines its queue anyway — the notify would be a wasted
+    /// syscall). Counted in [`ShardStat::batches`]/`batch_events`.
     fn enqueue_batch(&self, si: usize, group: &mut Vec<Event<P>>) {
         let count = group.len() as u64;
-        let shard = &self.shards[si];
         let st = &self.stats[si];
-        let depth = match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let mut q = m.lock();
-                q.extend(group.drain(..));
-                let depth = q.len() as u64;
-                // Gauge store inside the lock: serialized with the
-                // dispatcher's stores, so the final store after a drain
-                // is the dispatcher's 0, never a stale producer value.
-                st.enqueue(depth);
-                let parked = shard.parked.load(Ordering::SeqCst);
-                drop(q);
-                if parked {
-                    shard.cond.notify_one();
-                }
-                depth
-            }
-            ShardQueue::Ring(r) => {
-                // The push's tail CAS (or the sidecar's length RMW) is
-                // the producer-side SeqCst operation of the Dekker
-                // handshake; the parked load must come after it.
-                let pushed = r.push_batch(group);
-                st.ring_claims.fetch_add(pushed.claims, Ordering::Relaxed);
-                if pushed.overflowed > 0 {
-                    st.overflowed
-                        .fetch_add(pushed.overflowed, Ordering::Relaxed);
-                }
-                let depth = r.len() as u64;
-                // High-water only: the depth gauge of a ring shard is
-                // single-writer (the owning dispatcher).
-                st.observe_depth(depth);
-                if shard.parked.load(Ordering::SeqCst) {
-                    self.notify_sleeper(si);
-                }
-                depth
-            }
-        };
+        let depth = self.push_locked(si, |q| q.extend(group.drain(..)));
         st.batches.fetch_add(1, Ordering::Relaxed);
         st.batch_events.fetch_add(count, Ordering::Relaxed);
         self.nudge_sibling(si, depth);
@@ -851,50 +673,27 @@ impl<P> ShardSet<P> {
     /// Enqueues an event on shard `si` without affinity accounting
     /// (fairness re-queues stay wherever the event is running).
     fn enqueue(&self, si: usize, ev: Event<P>) {
-        let shard = &self.shards[si];
-        let st = &self.stats[si];
-        let depth = match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let mut q = m.lock();
-                q.push_back(ev);
-                let depth = q.len() as u64;
-                // In-lock gauge store — see `enqueue_batch`.
-                st.enqueue(depth);
-                let parked = shard.parked.load(Ordering::SeqCst);
-                drop(q);
-                if parked {
-                    shard.cond.notify_one();
-                }
-                depth
-            }
-            ShardQueue::Ring(r) => {
-                let pushed = r.push(ev);
-                st.ring_claims.fetch_add(pushed.claims, Ordering::Relaxed);
-                if pushed.overflowed > 0 {
-                    st.overflowed
-                        .fetch_add(pushed.overflowed, Ordering::Relaxed);
-                }
-                let depth = r.len() as u64;
-                st.observe_depth(depth);
-                if shard.parked.load(Ordering::SeqCst) {
-                    self.notify_sleeper(si);
-                }
-                depth
-            }
-        };
+        let depth = self.push_locked(si, |q| q.push_back(ev));
         self.nudge_sibling(si, depth);
     }
 
-    /// Wakes a ring dispatcher that published `parked == true`:
-    /// acquiring (and immediately releasing) the sleep mutex first
-    /// means the dispatcher is either before its emptiness re-check
-    /// (it will observe our claim — SeqCst Dekker) or already inside
-    /// `wait`, where the notify lands; the notify can never fall into
-    /// the gap between the two.
-    fn notify_sleeper(&self, si: usize) {
+    /// Runs `push` under shard `si`'s queue lock, records the new depth
+    /// and notifies the dispatcher if it is parked. Returns the depth.
+    fn push_locked(&self, si: usize, push: impl FnOnce(&mut VecDeque<Event<P>>)) -> u64 {
         let shard = &self.shards[si];
-        drop(shard.sleep.lock());
-        shard.cond.notify_one();
+        let mut q = shard.queue.lock();
+        push(&mut q);
+        let depth = q.len() as u64;
+        // Gauge store inside the lock: serialized with the dispatcher's
+        // stores, so the final store after a drain is the dispatcher's
+        // 0, never a stale producer value.
+        self.stats[si].enqueue(depth);
+        let parked = shard.parked.load(Ordering::SeqCst);
+        drop(q);
+        if parked {
+            shard.cond.notify_one();
+        }
+        depth
     }
 
     /// Backlog building on one shard: nudge a sibling so an idle thief
@@ -935,30 +734,14 @@ impl<P> ShardSet<P> {
         }
         let si = active - 1;
         let shard = &self.shards[si];
-        match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let q = m.lock();
-                // Both writes inside the queue lock: an enqueuer that
-                // already routed here is either holding the lock now
-                // (its event will be drain-forwarded) or will take it
-                // later and notify the parked dispatcher's forwarding
-                // loop.
-                self.active.store(si, Ordering::SeqCst);
-                shard.deactivated.store(true, Ordering::SeqCst);
-                drop(q);
-            }
-            ShardQueue::Ring(_) => {
-                // No queue lock to serialize under; order alone
-                // suffices: shrink the prefix first, then flag. A
-                // racing enqueuer either routes by the new prefix (to
-                // an active sibling) or lands here — where the
-                // dispatcher's forwarding loop (notified below, or via
-                // the enqueuer's own parked-flag notify) drains it.
-                self.active.store(si, Ordering::SeqCst);
-                shard.deactivated.store(true, Ordering::SeqCst);
-                drop(shard.sleep.lock());
-            }
-        }
+        let q = shard.queue.lock();
+        // Both writes inside the queue lock: an enqueuer that already
+        // routed here is either holding the lock now (its event will be
+        // drain-forwarded) or will take it later and notify the parked
+        // dispatcher's forwarding loop.
+        self.active.store(si, Ordering::SeqCst);
+        shard.deactivated.store(true, Ordering::SeqCst);
+        drop(q);
         shard.cond.notify_one();
         Some(si)
     }
@@ -974,23 +757,10 @@ impl<P> ShardSet<P> {
         }
         let si = active;
         let shard = &self.shards[si];
-        match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let q = m.lock();
-                shard.deactivated.store(false, Ordering::SeqCst);
-                self.active.store(active + 1, Ordering::SeqCst);
-                drop(q);
-            }
-            ShardQueue::Ring(_) => {
-                // Mirror of park_one: clear the flag before growing the
-                // prefix, so an enqueuer that routes here by the new
-                // prefix finds a shard that executes rather than
-                // forwards.
-                shard.deactivated.store(false, Ordering::SeqCst);
-                self.active.store(active + 1, Ordering::SeqCst);
-                drop(shard.sleep.lock());
-            }
-        }
+        let q = shard.queue.lock();
+        shard.deactivated.store(false, Ordering::SeqCst);
+        self.active.store(active + 1, Ordering::SeqCst);
+        drop(q);
         shard.cond.notify_one();
         Some(si)
     }
@@ -1017,16 +787,8 @@ fn start_event_driven<P: Send + 'static>(
     shards: usize,
     io_workers: usize,
     adaptive: AdaptivePolicy,
-    queue: ShardQueueKind,
     overload: OverloadPolicy,
 ) -> Vec<JoinHandle<()>> {
-    // Operator overrides, mirroring FLUX_PIN/FLUX_POLLER: the env wins
-    // over whatever the builder configured.
-    let queue = ShardQueueKind::from_env().unwrap_or(queue);
-    let ring_cap = std::env::var("FLUX_SHARD_RING_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1024);
     let step_budget = std::env::var("FLUX_FUSE_BUDGET")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -1040,8 +802,6 @@ fn start_event_driven<P: Send + 'static>(
     let set = Arc::new(ShardSet::<P>::new(
         shards,
         server.flow_count(),
-        queue,
-        ring_cap,
         step_budget,
         max_depth,
         server.shed_handler(),
@@ -1081,13 +841,13 @@ fn start_event_driven<P: Send + 'static>(
     // N mod host_cores, so session-affine queues stay cache-local. The
     // state lands in ServerStats so bench artifacts can record whether
     // a measurement ran pinned.
-    let pin = crate::affinity::should_pin();
+    let pin = flux_net::affinity::should_pin();
     server.stats.pinning.enabled.store(pin, Ordering::Relaxed);
     server
         .stats
         .pinning
         .host_cores
-        .store(crate::affinity::host_cores() as u64, Ordering::Relaxed);
+        .store(flux_net::affinity::host_cores() as u64, Ordering::Relaxed);
     server
         .stats
         .pinning
@@ -1137,13 +897,13 @@ fn start_event_driven<P: Send + 'static>(
             thread::Builder::new()
                 .name(format!("flux-shard-{si}"))
                 .spawn(move || {
-                    if pin && crate::affinity::pin_current_thread(si) {
+                    if pin && flux_net::affinity::pin_current_thread(si) {
                         srv.stats
                             .pinning
                             .pinned_threads
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    run_shard(&srv, &set, si, &io_tx)
+                    run_shard_mutex(&srv, &set, si, &io_tx)
                 })
                 .expect("spawn dispatcher shard"),
         );
@@ -1233,22 +993,7 @@ fn run_controller<P: Send + 'static>(srv: &FluxServer<P>, set: &ShardSet<P>, cfg
     }
 }
 
-/// One dispatcher shard's main loop: dispatches on the queue kind
-/// every shard of this run was built with.
-fn run_shard<P: Send + 'static>(
-    srv: &FluxServer<P>,
-    set: &ShardSet<P>,
-    si: usize,
-    io_tx: &Sender<Event<P>>,
-) {
-    match &set.shards[si].queue {
-        ShardQueue::Mutex(_) => run_shard_mutex(srv, set, si, io_tx),
-        ShardQueue::Ring(_) => run_shard_ring(srv, set, si, io_tx),
-    }
-}
-
-/// The dispatcher loop over the classic mutexed deque
-/// ([`ShardQueueKind::Mutex`]).
+/// One dispatcher shard's main loop.
 fn run_shard_mutex<P: Send + 'static>(
     srv: &FluxServer<P>,
     set: &ShardSet<P>,
@@ -1277,7 +1022,7 @@ fn run_shard_mutex<P: Send + 'static>(
         // saturated shard sheds backlog in one lock acquisition instead
         // of one per event.
         let mut next = {
-            let mut q = set.shards[si].queue.as_mutex().lock();
+            let mut q = set.shards[si].queue.lock();
             let ev = q.pop_front();
             if ev.is_some() {
                 stats[si].depth.store(q.len() as u64, Ordering::Relaxed);
@@ -1288,7 +1033,7 @@ fn run_shard_mutex<P: Send + 'static>(
         if next.is_none() && n > 1 {
             for k in 1..n {
                 let j = (si + k) % n;
-                let mut qj = set.shards[j].queue.as_mutex().lock();
+                let mut qj = set.shards[j].queue.lock();
                 if let Some(ev) = qj.pop_front() {
                     // Half the victim's queue, rounded up to include
                     // the event executing now.
@@ -1301,7 +1046,7 @@ fn run_shard_mutex<P: Send + 'static>(
                         stats[si]
                             .stolen_batch
                             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        let mut q = set.shards[si].queue.as_mutex().lock();
+                        let mut q = set.shards[si].queue.lock();
                         // Prepend: events routed here between the two
                         // lock acquisitions are younger than the stolen
                         // batch, so the batch goes in front to preserve
@@ -1340,7 +1085,7 @@ fn run_shard_mutex<P: Send + 'static>(
             if set.drained() {
                 return;
             }
-            let mut q = set.shards[si].queue.as_mutex().lock();
+            let mut q = set.shards[si].queue.lock();
             if q.is_empty() && !set.drained() {
                 // Wake-ups come from submissions to this shard, backlog
                 // nudges from busy siblings, and drain/shutdown
@@ -1413,181 +1158,13 @@ fn run_shard_mutex<P: Send + 'static>(
                     // Every queued event may be waiting on a lock held
                     // by an off-loaded flow; back off instead of
                     // spinning.
-                    let depth = set.shards[si].queue.as_mutex().lock().len();
+                    let depth = set.shards[si].queue.lock().len();
                     if blocked_streak > depth.max(4) {
                         thread::sleep(Duration::from_micros(100));
                     }
                     // Retry on the cursor's home shard: a blocked
                     // session flow waits where its lock holder runs
                     // instead of ping-ponging between thieves.
-                    set.route_home(ev);
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// The dispatcher loop over the lock-free ring
-/// ([`ShardQueueKind::Ring`]).
-///
-/// Events are batch-consumed from the shard's own ring (then the
-/// overflow sidecar, then a sibling steal) into a thread-local *run
-/// buffer* and executed from there. The buffer is what preserves PR 3's
-/// FIFO steal discipline without a deque to prepend into: a steal
-/// happens only when the local buffer, own ring and sidecar are all
-/// empty, so a stolen (older) run always finishes executing before any
-/// younger own-ring arrival is popped.
-fn run_shard_ring<P: Send + 'static>(
-    srv: &FluxServer<P>,
-    set: &ShardSet<P>,
-    si: usize,
-    io_tx: &Sender<Event<P>>,
-) {
-    /// Events batch-consumed per refill: bounds how long a sibling's
-    /// published run is held in one claim (steal granularity) without
-    /// giving up batching.
-    const RUN: usize = 64;
-    let stats = &set.stats;
-    let n = set.shards.len();
-    let shard = &set.shards[si];
-    let ring = shard.queue.as_ring();
-    let mut local: VecDeque<Event<P>> = VecDeque::new();
-    let mut blocked_streak = 0usize;
-    loop {
-        if shard.deactivated.load(Ordering::SeqCst) {
-            park_dispatcher_ring(set, si, &mut local);
-            if set.drained() {
-                return;
-            }
-            continue;
-        }
-        if local.is_empty() {
-            // Refill order is the FIFO discipline: own published run,
-            // then the sidecar (swapped only when the ring is empty —
-            // EventRing::take_overflow enforces that), then steal.
-            let mut got = ring.pop_run(&mut local, RUN);
-            if got == 0 {
-                got = ring.take_overflow(&mut local);
-            }
-            if got == 0 && n > 1 {
-                for k in 1..n {
-                    let j = (si + k) % n;
-                    let rj = set.shards[j].queue.as_ring();
-                    // Scan up to half the ring: steal_run halves the
-                    // scanned run again, so a deep victim sheds up to a
-                    // quarter of its capacity per steal — bulk transfer
-                    // comparable to the mutex thief's take-half, not
-                    // RUN-sized nibbles (which made steal-heavy shard
-                    // counts measurably slower than the mutex path).
-                    let stolen = rj.steal_run(&mut local, (rj.capacity() / 2).max(RUN));
-                    if stolen > 0 {
-                        // No store of the victim's depth gauge: it is
-                        // single-writer (shard j's dispatcher refreshes
-                        // it on its next refill) — a thief's store here
-                        // could land after the victim's final 0 and
-                        // leave a stale non-zero gauge behind.
-                        stats[si].stolen.fetch_add(1, Ordering::Relaxed);
-                        if stolen > 1 {
-                            stats[si]
-                                .stolen_batch
-                                .fetch_add(stolen as u64 - 1, Ordering::Relaxed);
-                        }
-                        // The thief is busy with the stolen run: nudge
-                        // another active sibling at the transferred
-                        // backlog, as the mutex steal path does.
-                        let active = set.active.load(Ordering::SeqCst).max(1);
-                        let t = (si + 1) % active;
-                        let t = if t == j { (si + 2) % active } else { t };
-                        if t != si && t != j {
-                            set.shards[t].cond.notify_one();
-                        }
-                        break;
-                    }
-                }
-            }
-            stats[si]
-                .depth
-                .store((ring.len() + local.len()) as u64, Ordering::Relaxed);
-        }
-        let Some(mut ev) = local.pop_front() else {
-            if set.drained() {
-                return;
-            }
-            // Park protocol (SeqCst Dekker, see crate::ring docs):
-            // publish parked under the sleep mutex, then re-check for
-            // claims; a producer's claim RMW precedes its parked load,
-            // so one side always sees the other, and notify_sleeper's
-            // lock acquisition means a notify can't fall between this
-            // re-check and the wait.
-            let mut g = shard.sleep.lock();
-            shard.parked.store(true, Ordering::SeqCst);
-            if !ring.is_empty() || set.drained() {
-                shard.parked.store(false, Ordering::SeqCst);
-                drop(g);
-                // A claimed-but-unpublished slot shows up as non-empty
-                // with nothing consumable yet; yield while the producer
-                // finishes publishing.
-                thread::yield_now();
-                continue;
-            }
-            shard.cond.wait_for(&mut g, Duration::from_millis(10));
-            shard.parked.store(false, Ordering::SeqCst);
-            drop(g);
-            continue;
-        };
-        // Topic-keyed pinning (see run_shard_mutex): the ring's
-        // steal_run claims contiguous runs and cannot skip individual
-        // events, so the execute-time forward is the uniform
-        // enforcement point for both queue kinds.
-        if ev.cursor.pinned && set.home_of(&ev.cursor) != si {
-            stats[si].pinned_rerouted.fetch_add(1, Ordering::Relaxed);
-            set.forward_home(ev);
-            continue;
-        }
-        // "Events this dispatcher ran" — includes stolen and sidecar
-        // events (see ShardStat::executed docs).
-        stats[si].executed.fetch_add(1, Ordering::Relaxed);
-        let budget = set.step_budget;
-        let mut spent = 0usize;
-        loop {
-            if srv.at_blocking_exec(&ev.cursor) {
-                let _ = io_tx.send(ev);
-                blocked_streak = 0;
-                break;
-            }
-            // Fairness budget per queue turn (see run_shard_mutex):
-            // re-queue onto this shard's own ring, not affinity
-            // routing — a stolen event keeps running on the thief.
-            let cost = srv.exec_cost(&ev.cursor);
-            if cost > 0 && spent > 0 && spent + cost > budget {
-                set.enqueue(si, ev);
-                break;
-            }
-            match srv.step(&mut ev.cursor, &mut ev.payload, LockWait::Try) {
-                Step::Continue => {
-                    blocked_streak = 0;
-                    let fused = ev.cursor.take_fused_execs();
-                    if fused > 0 {
-                        stats[si].fused_execs.fetch_add(fused, Ordering::Relaxed);
-                        spent += fused as usize;
-                    } else {
-                        spent += cost;
-                    }
-                }
-                Step::Done(_) => {
-                    blocked_streak = 0;
-                    if set.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        set.wake_all();
-                    }
-                    break;
-                }
-                Step::WouldBlock => {
-                    blocked_streak += 1;
-                    let depth = ring.len() + local.len();
-                    if blocked_streak > depth.max(4) {
-                        thread::sleep(Duration::from_micros(100));
-                    }
                     set.route_home(ev);
                     break;
                 }
@@ -1621,7 +1198,7 @@ fn park_dispatcher<P: Send + 'static>(set: &ShardSet<P>, si: usize) {
         // normally).
         while shard.deactivated.load(Ordering::SeqCst) {
             let ev = {
-                let mut q = shard.queue.as_mutex().lock();
+                let mut q = shard.queue.lock();
                 let ev = q.pop_front();
                 set.stats[si].depth.store(q.len() as u64, Ordering::Relaxed);
                 ev
@@ -1633,7 +1210,7 @@ fn park_dispatcher<P: Send + 'static>(set: &ShardSet<P>, si: usize) {
         if !shard.deactivated.load(Ordering::SeqCst) || set.drained() {
             return;
         }
-        let mut q = shard.queue.as_mutex().lock();
+        let mut q = shard.queue.lock();
         if q.is_empty() && shard.deactivated.load(Ordering::SeqCst) && !set.drained() {
             // Same parked-flag discipline as the idle wait in
             // `run_shard_mutex`: enqueuers and the controller notify
@@ -1643,59 +1220,6 @@ fn park_dispatcher<P: Send + 'static>(set: &ShardSet<P>, si: usize) {
             shard.cond.wait_for(&mut q, Duration::from_millis(50));
             shard.parked.store(false, Ordering::SeqCst);
         }
-    }
-}
-
-/// [`park_dispatcher`] for the ring queue kind: forward-drains the
-/// local run buffer, the ring and the overflow sidecar through
-/// [`ShardSet::forward_home`], re-checking the `deactivated` flag per
-/// event (once the controller reactivates this shard a forward could
-/// land right back here, so forwarding must stop — any remainder in
-/// `local` simply executes normally on return). Waits parked on the
-/// sleep mutex between stragglers, with the same SeqCst Dekker re-check
-/// as the idle wait in [`run_shard_ring`].
-fn park_dispatcher_ring<P: Send + 'static>(
-    set: &ShardSet<P>,
-    si: usize,
-    local: &mut VecDeque<Event<P>>,
-) {
-    let shard = &set.shards[si];
-    let ring = shard.queue.as_ring();
-    loop {
-        while shard.deactivated.load(Ordering::SeqCst) {
-            if local.is_empty() && ring.pop_run(local, 64) == 0 && ring.take_overflow(local) == 0 {
-                break; // nothing forwardable right now
-            }
-            if let Some(ev) = local.pop_front() {
-                set.stats[si].forwarded.fetch_add(1, Ordering::Relaxed);
-                set.forward_home(ev);
-            }
-            set.stats[si]
-                .depth
-                .store((ring.len() + local.len()) as u64, Ordering::Relaxed);
-        }
-        if !shard.deactivated.load(Ordering::SeqCst) || set.drained() {
-            // Refresh the gauge before handing back (or exiting): the
-            // dispatch loop stores it only on refills, so it may still
-            // show the size of a local run that has since executed.
-            set.stats[si]
-                .depth
-                .store((ring.len() + local.len()) as u64, Ordering::Relaxed);
-            return;
-        }
-        let mut g = shard.sleep.lock();
-        shard.parked.store(true, Ordering::SeqCst);
-        if !ring.is_empty() || !shard.deactivated.load(Ordering::SeqCst) || set.drained() {
-            // A straggler claimed a slot (or the controller already
-            // reactivated us): don't sleep on it. The claim may not be
-            // published yet — yield and retry the forward loop.
-            shard.parked.store(false, Ordering::SeqCst);
-            drop(g);
-            thread::yield_now();
-            continue;
-        }
-        shard.cond.wait_for(&mut g, Duration::from_millis(50));
-        shard.parked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -1900,25 +1424,6 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_ring_completes_all() {
-        for shards in [1, 2, 4] {
-            let kind =
-                RuntimeKind::event_driven_sharded(shards, 2).shard_queue(ShardQueueKind::Ring);
-            let (done, sum) = run_on(kind, 500);
-            assert_eq!(done, 500, "ring shards={shards}");
-            assert_eq!(sum, (0..500).sum::<u64>(), "ring shards={shards}");
-        }
-    }
-
-    #[test]
-    fn event_driven_ring_adaptive_completes_all() {
-        let kind = RuntimeKind::event_driven_adaptive(4, 2).shard_queue(ShardQueueKind::Ring);
-        let (done, sum) = run_on(kind, 500);
-        assert_eq!(done, 500);
-        assert_eq!(sum, (0..500).sum::<u64>());
-    }
-
-    #[test]
     fn staged_completes_all() {
         let (done, sum) = run_on(RuntimeKind::Staged { stage_workers: 2 }, 500);
         assert_eq!(done, 500);
@@ -2000,8 +1505,6 @@ mod tests {
             RuntimeKind::event_driven_sharded(1, 4),
             RuntimeKind::event_driven_sharded(4, 4),
             RuntimeKind::event_driven_adaptive(4, 4),
-            RuntimeKind::event_driven_sharded(4, 4).shard_queue(ShardQueueKind::Ring),
-            RuntimeKind::event_driven_adaptive(4, 4).shard_queue(ShardQueueKind::Ring),
             RuntimeKind::Staged { stage_workers: 4 },
         ] {
             let program = flux_core::compile(SRC).unwrap();

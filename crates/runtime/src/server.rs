@@ -30,10 +30,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Whether the server fuses straight-line vertex chains into single-step
-/// segments. `Off` keeps the per-node interpreter — the semantic oracle
-/// differential tests and ablations compare against. The `FLUX_FUSE`
-/// env var (`0`/`off` or `1`/`on`) overrides whatever the builder chose,
-/// mirroring `FLUX_SHARD_QUEUE`.
+/// segments. The `FLUX_FUSE` env var (`0`/`off` or `1`/`on`) overrides
+/// whatever the builder chose.
+///
+/// `Off` is not an ablation leftover: it is the fusion oracle. The
+/// per-node interpreter defines what a flow means, and the fusion
+/// differential tests hold `On` equal to it, so both stay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionMode {
     /// Fuse chains; one queue turn executes a whole segment.

@@ -2,9 +2,24 @@
 //! log-scaled latency histogram, cheap enough to stay on in production
 //! (the benchmark harness reads throughput and latency from here).
 
-use crate::ring::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Pads and aligns a value to a 64-byte cache line, so two hot atomics
+/// written by different threads never share a line (false sharing turns
+/// every counter increment into cross-core cache traffic).
+#[derive(Default, Debug)]
+#[repr(align(64))]
+pub struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
 
 /// Number of power-of-two latency buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` microseconds; bucket 0 holds `< 2 µs`.
@@ -102,12 +117,7 @@ pub struct ShardStat {
     pub depth: AtomicU64,
     /// High-water mark of `depth`.
     pub max_depth: AtomicU64,
-    /// Events this shard dequeued from its own queue. Under
-    /// [`crate::runtimes::ShardQueueKind::Ring`] this counts every
-    /// event the dispatcher popped from its local run buffer — own-ring
-    /// pops, overflow-sidecar drains *and* stolen events it went on to
-    /// execute (the ring has no per-event "own vs stolen" dequeue
-    /// boundary, so `executed` there is "events this dispatcher ran").
+    /// Events this shard dequeued from its own queue.
     pub executed: CachePadded<AtomicU64>,
     /// Steals this shard performed: each takes the oldest event from a
     /// sibling's queue for immediate execution (plus a bulk transfer
@@ -129,15 +139,6 @@ pub struct ShardStat {
     /// batches` is the mean batch size — the amortization factor of the
     /// per-event lock+notify cost.
     pub batch_events: CachePadded<AtomicU64>,
-    /// Successful ring slot-claim CASes this shard's queue performed
-    /// (`ring_claims / batch_events` inverts to the events-per-CAS
-    /// amortization factor). Zero under
-    /// [`crate::runtimes::ShardQueueKind::Mutex`].
-    pub ring_claims: AtomicU64,
-    /// Events that missed the ring (full, or the sidecar was already
-    /// non-empty) and went through the mutexed overflow sidecar. Zero
-    /// under [`crate::runtimes::ShardQueueKind::Mutex`].
-    pub overflowed: AtomicU64,
     /// Events this shard re-routed to an active sibling while it was
     /// deactivated by the adaptive controller: the drain that must
     /// complete before a park commits, plus any straggler enqueued by a
@@ -167,21 +168,12 @@ pub struct ShardStat {
 
 impl ShardStat {
     /// Records a post-enqueue depth observation: gauge plus high-water
-    /// mark. Mutex-kind callers invoke this while still holding the
-    /// shard's queue lock, which serializes the gauge store with the
-    /// dispatcher's own stores — the final store after a drain is
-    /// therefore always the dispatcher's `0`.
+    /// mark. Callers invoke this while still holding the shard's queue
+    /// lock, which serializes the gauge store with the dispatcher's own
+    /// stores — the final store after a drain is therefore always the
+    /// dispatcher's `0`.
     pub(crate) fn enqueue(&self, new_depth: u64) {
         self.depth.store(new_depth, Ordering::Relaxed);
-        self.max_depth.fetch_max(new_depth, Ordering::Relaxed);
-    }
-
-    /// Producer-side depth observation for the ring kind: high-water
-    /// mark only. There is no lock to serialize gauge stores on a ring
-    /// shard, so the `depth` gauge is single-writer — only the owning
-    /// dispatcher stores it — and a slow producer can never overwrite
-    /// the dispatcher's final `0` with a stale snapshot.
-    pub(crate) fn observe_depth(&self, new_depth: u64) {
         self.max_depth.fetch_max(new_depth, Ordering::Relaxed);
     }
 }
@@ -189,9 +181,10 @@ impl ShardStat {
 /// Read-only view of the network driver's counters (accept retries and
 /// reactor write-path traffic), published next to the shard counters.
 ///
-/// The runtime crate has no dependency on the net crate, so the server
-/// glue (`flux-servers`) installs an adapter over the driver's counter
-/// block via [`ServerStats::install_net`].
+/// The runtime sees a driver only through this trait: the server glue
+/// (`flux-servers`) installs an adapter over the driver's counter block
+/// via [`ServerStats::install_net`], and servers without a driver
+/// install none.
 pub trait NetCounters: Send + Sync + std::fmt::Debug {
     /// Transient accept errors survived by the acceptor's retry loop.
     fn accept_retries(&self) -> u64;
@@ -278,7 +271,7 @@ impl OverloadStat {
 
 /// Thread-pinning state of the most recent sharded event-runtime run,
 /// recorded so benchmark artifacts can report whether a measurement ran
-/// with core affinity (`BENCH_hot_path.json` stores it per point).
+/// with core affinity.
 #[derive(Debug, Default)]
 pub struct PinningStat {
     /// Pinning was attempted (multi-core host, `FLUX_PIN` not `0`).

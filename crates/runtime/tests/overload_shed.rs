@@ -1,14 +1,13 @@
 //! Property tests for bounded shard queues
 //! ([`OverloadPolicy::Bounded`]): across random burst shapes, depth
-//! caps, queue kinds and shard counts, the conservation invariant
+//! caps and shard counts, the conservation invariant
 //! `offered == finished + shed` must hold exactly — no admitted event
 //! is ever dropped, no shed event goes uncounted or unseen by the
 //! registry's `on_shed` handler, and nothing is left stranded on a
 //! capped queue at shutdown.
 
 use flux_runtime::{
-    start, FluxServer, NodeOutcome, NodeRegistry, OverloadPolicy, RuntimeKind, ShardQueueKind,
-    SourceOutcome,
+    start, FluxServer, NodeOutcome, NodeRegistry, OverloadPolicy, RuntimeKind, SourceOutcome,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,22 +62,18 @@ fn bursty_server(total: u64, burst: u64) -> (Arc<FluxServer<u64>>, Arc<AtomicU64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// offered == finished + shed, exactly, for any burst/cap/kind mix.
+    /// offered == finished + shed, exactly, for any burst/cap mix.
     #[test]
     fn bounded_queues_conserve_events(
         total in 200u64..800,
         burst in 1u64..64,
         cap in 1usize..8,
         shards in 1usize..4,
-        ring in any::<bool>(),
     ) {
         let (server, shed_seen) = bursty_server(total, burst);
-        let queue = if ring { ShardQueueKind::Ring } else { ShardQueueKind::Mutex };
         let handle = start(
             server.clone(),
-            RuntimeKind::event_driven_sharded(shards, 1)
-                .shard_queue(queue)
-                .overload(OverloadPolicy::bounded(cap)),
+            RuntimeKind::event_driven_sharded(shards, 1).overload(OverloadPolicy::bounded(cap)),
         );
         handle.join();
 
@@ -108,14 +103,9 @@ proptest! {
     fn unbounded_never_sheds(
         total in 200u64..600,
         burst in 1u64..64,
-        ring in any::<bool>(),
     ) {
         let (server, shed_seen) = bursty_server(total, burst);
-        let queue = if ring { ShardQueueKind::Ring } else { ShardQueueKind::Mutex };
-        let handle = start(
-            server.clone(),
-            RuntimeKind::event_driven_sharded(2, 1).shard_queue(queue),
-        );
+        let handle = start(server.clone(), RuntimeKind::event_driven_sharded(2, 1));
         handle.join();
         prop_assert_eq!(server.stats.finished(), total);
         prop_assert_eq!(server.stats.total_shed(), 0u64);

@@ -12,7 +12,7 @@
 
 use flux_runtime::{
     shard_index, start, AdaptiveConfig, AdaptivePolicy, FluxServer, NodeOutcome, NodeRegistry,
-    OverloadPolicy, RuntimeKind, ShardQueueKind, SourceOutcome,
+    OverloadPolicy, RuntimeKind, SourceOutcome,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,18 +107,13 @@ proptest! {
     fn stealing_never_executes_pinned_events_off_home(
         session_count in 1usize..8,
         burst in 1u64..32,
-        ring in any::<bool>(),
     ) {
         const SHARDS: usize = 4;
         const TOTAL: u64 = 800;
         let sessions = Arc::new(sessions_on_shard_zero(SHARDS, session_count));
         let (server, violations) =
             pinned_server(TOTAL, burst, sessions, |_, shard| shard == 0);
-        let queue = if ring { ShardQueueKind::Ring } else { ShardQueueKind::Mutex };
-        let handle = start(
-            server.clone(),
-            RuntimeKind::event_driven_sharded(SHARDS, 1).shard_queue(queue),
-        );
+        let handle = start(server.clone(), RuntimeKind::event_driven_sharded(SHARDS, 1));
         handle.join();
         prop_assert_eq!(server.stats.finished(), TOTAL, "no event lost or doubled");
         prop_assert_eq!(
@@ -166,7 +161,6 @@ proptest! {
                     park_below: 1,
                     wake_depth: 1,
                 }),
-                queue: ShardQueueKind::Mutex,
                 overload: OverloadPolicy::Unbounded,
             },
         );

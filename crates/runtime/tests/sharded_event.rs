@@ -4,7 +4,7 @@
 
 use flux_runtime::{
     shard_index, start, AdaptiveConfig, AdaptivePolicy, FluxServer, NodeOutcome, NodeRegistry,
-    OverloadPolicy, RuntimeKind, ShardQueueKind, SourceOutcome,
+    OverloadPolicy, RuntimeKind, SourceOutcome,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,13 +39,6 @@ fn session_server(total: u64, sessions: Arc<Vec<u64>>) -> Arc<FluxServer<u64>> {
     reg.node("Out", |_| NodeOutcome::Ok);
     Arc::new(FluxServer::new(program, reg).unwrap())
 }
-
-// Tests that set or depend on `FLUX_SHARD_RING_CAP` serialize on the
-// crate-wide env lock (the env is process-wide: the differential
-// proptest shrinks the cap to force sidecar traffic, which would starve
-// the steal assertions of concurrently running ring tests — steals only
-// see the ring, never the sidecar).
-use flux_runtime::testutil::test_env_lock;
 
 /// Session ids that all hash to shard 0 under `shards` shards.
 fn sessions_on_shard_zero(shards: usize, count: usize) -> Vec<u64> {
@@ -210,10 +203,10 @@ fn steals_take_half_the_victims_queue() {
 
 /// Batch delivery ordering: a source that hands over bursts via
 /// `SourceOutcome::Batch` keeps exact FIFO execution order on a single
-/// shard — a burst is appended intact (one queue lock for the mutex
-/// kind, one tail CAS for the ring), and cross-batch order follows
-/// submission order. Shared body for both queue kinds.
-fn batched_fifo_on_single_shard(kind: ShardQueueKind) {
+/// shard — a burst is appended intact under one queue lock, and
+/// cross-batch order follows submission order.
+#[test]
+fn batched_submission_preserves_fifo_on_single_shard() {
     let program = flux_core::compile(
         "
         Gen () => (int v);
@@ -247,10 +240,7 @@ fn batched_fifo_on_single_shard(kind: ShardQueueKind) {
         NodeOutcome::Ok
     });
     let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(
-        server.clone(),
-        RuntimeKind::event_driven_sharded(1, 1).shard_queue(kind),
-    );
+    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(1, 1));
     handle.join();
     assert_eq!(server.stats.finished(), total);
     let order = order.lock();
@@ -265,88 +255,6 @@ fn batched_fifo_on_single_shard(kind: ShardQueueKind) {
         stats[0].batches.load(Ordering::Relaxed) < total,
         "bursts amortize: fewer appends than events"
     );
-    if kind == ShardQueueKind::Ring {
-        assert!(
-            stats[0].ring_claims.load(Ordering::Relaxed) > 0,
-            "ring kind must claim slots via tail CAS"
-        );
-    }
-}
-
-#[test]
-fn batched_submission_preserves_fifo_on_single_shard() {
-    batched_fifo_on_single_shard(ShardQueueKind::Mutex);
-}
-
-/// Ring port: batch claims publish in position order, so the published
-/// run a consumer sees is exactly the submission order — same FIFO
-/// guarantee as the mutex kind.
-#[test]
-fn ring_batched_submission_preserves_fifo_on_single_shard() {
-    batched_fifo_on_single_shard(ShardQueueKind::Ring);
-}
-
-/// Ring steal path end-to-end: with every session homed on shard 0 and
-/// slow nodes, thieves must claim runs off the victim's ring via the
-/// head CAS, no event is lost or doubled, and all queues end empty.
-#[test]
-fn ring_stealing_drains_saturated_shard() {
-    // Hold the env lock for the whole run: with a shrunken ring cap
-    // (set by the differential proptest) the backlog would sit in the
-    // unstealable overflow sidecar and the steal assertion would flake.
-    let _env = test_env_lock();
-    std::env::remove_var("FLUX_SHARD_RING_CAP");
-    const SHARDS: usize = 4;
-    let sessions = Arc::new(sessions_on_shard_zero(SHARDS, 8));
-    let program = flux_core::compile(
-        "
-        Gen () => (int sid);
-        Spin (int sid) => ();
-        Flow = Spin;
-        source Gen => Flow;
-        ",
-    )
-    .unwrap();
-    let total = 2_000u64;
-    let produced = AtomicU64::new(0);
-    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    let s2 = sessions.clone();
-    reg.source("Gen", move || {
-        let start = produced.load(Ordering::SeqCst);
-        if start >= total {
-            return SourceOutcome::Shutdown;
-        }
-        let k = (start % 5 + 1).min(total - start);
-        produced.fetch_add(k, Ordering::SeqCst);
-        SourceOutcome::Batch(
-            (start..start + k)
-                .map(|i| s2[(i % s2.len() as u64) as usize])
-                .collect(),
-        )
-    });
-    reg.session("Gen", |sid: &u64| *sid);
-    reg.node("Spin", |_| {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(100) {
-            std::hint::spin_loop();
-        }
-        NodeOutcome::Ok
-    });
-    let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(
-        server.clone(),
-        RuntimeKind::event_driven_sharded(SHARDS, 1).shard_queue(ShardQueueKind::Ring),
-    );
-    handle.join();
-    assert_eq!(server.stats.finished(), total, "no event lost or doubled");
-    assert!(
-        server.stats.total_steals() > 0,
-        "thieves must steal from the saturated home shard's ring"
-    );
-    let stats = server.stats.shard_stats().unwrap();
-    for (i, st) in stats.iter().enumerate() {
-        assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
-    }
 }
 
 /// Batched routing composes with work stealing (the stolen-batch FIFO
@@ -474,7 +382,6 @@ fn controller_parks_idle_shards_and_wakes_on_burst() {
             shards: SHARDS,
             io_workers: 1,
             adaptive: aggressive(4),
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         },
     );
@@ -559,7 +466,6 @@ fn controller_survives_alternating_idle_and_load() {
             shards: SHARDS,
             io_workers: 1,
             adaptive: aggressive(2),
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         },
     );
@@ -674,77 +580,14 @@ fn restart_with_more_shards_installs_fresh_stats() {
 mod properties {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
-    /// Shared body for the adaptive-interleaving property, parametrized
-    /// by shard-queue kind: an aggressive controller churns parks and
-    /// wakes while skewed traffic flows; conservation, drained queues
-    /// and balanced books must hold for Mutex and Ring alike. Plain
-    /// asserts (not `prop_assert!`) still fail and shrink under
-    /// proptest via panic.
-    fn adaptive_interleaving_body(
-        kind: ShardQueueKind,
-        shards: usize,
-        io_workers: usize,
-        total: u64,
-        sessions: u64,
-        park_after: u32,
-        min_shards: usize,
-    ) {
-        let ids = Arc::new((0..sessions).collect::<Vec<_>>());
-        let server = session_server(total, ids);
-        let handle = start(
-            server.clone(),
-            RuntimeKind::EventDriven {
-                shards,
-                io_workers,
-                adaptive: AdaptivePolicy::Adaptive(AdaptiveConfig {
-                    min_shards,
-                    sample_every: Duration::from_micros(200),
-                    park_after,
-                    park_below: 1,
-                    wake_depth: 1,
-                }),
-                queue: kind,
-                overload: OverloadPolicy::Unbounded,
-            },
-        );
-        handle.join();
-        // Conservation: every flow finished exactly once.
-        assert_eq!(server.stats.finished(), total, "[{kind:?}] lost events");
-        let stats = server.stats.shard_stats().unwrap();
-        assert_eq!(stats.len(), shards);
-        // Nothing stranded on any shard — in particular not on a shard
-        // that ended the run parked: a parked dispatcher forwards every
-        // straggler before blocking, so a non-zero final depth there
-        // would mean an event was delivered to a permanently-parked
-        // shard.
-        let active = server.stats.adaptive.active_shards.load(Ordering::SeqCst) as usize;
-        assert!(active >= min_shards.min(shards) && active <= shards);
-        for (i, st) in stats.iter().enumerate() {
-            assert_eq!(
-                st.depth.load(Ordering::Relaxed),
-                0,
-                "[{kind:?}] shard {i} (active prefix {active}) must end drained"
-            );
-        }
-        // The controller's books balance: it can't have woken more
-        // shards than it parked, and the active count is exactly
-        // configured - parks + wakes.
-        let parks = server.stats.adaptive.parks.load(Ordering::SeqCst);
-        let wakes = server.stats.adaptive.wakes.load(Ordering::SeqCst);
-        assert!(wakes <= parks, "[{kind:?}] wakes {wakes} > parks {parks}");
-        assert_eq!(
-            shards as u64 + wakes - parks,
-            active as u64,
-            "[{kind:?}] active count must equal configured - parks + wakes"
-        );
-    }
-
-    /// Runs one generated event script on a single shard and returns
-    /// the global execution order (event = index into `script`, whose
-    /// entry is that event's session id). Used as a differential
-    /// harness: the mutex kind is the semantic oracle for the ring.
-    fn run_script(kind: ShardQueueKind, script: Arc<Vec<u64>>) -> Vec<u64> {
+    /// Runs one generated submission script on a single shard and
+    /// returns the execution order. Each script entry is one source
+    /// poll: a batch of session ids, submitted as `New` when it holds
+    /// one event and as `Batch` otherwise. Events are numbered in
+    /// submission order.
+    fn run_script(script: Arc<Vec<Vec<u64>>>) -> Vec<u64> {
         let program = flux_core::compile(
             "
             Gen () => (int v);
@@ -754,25 +597,24 @@ mod properties {
             ",
         )
         .unwrap();
-        let total = script.len() as u64;
-        let produced = AtomicU64::new(0);
+        let sessions: Arc<Vec<u64>> = Arc::new(script.iter().flatten().copied().collect());
+        let total = sessions.len() as u64;
+        let polls = AtomicU64::new(0);
+        let next_id = AtomicU64::new(0);
         let mut reg: NodeRegistry<u64> = NodeRegistry::new();
         reg.source("Gen", move || {
-            let start = produced.load(Ordering::SeqCst);
-            if start >= total {
+            let Some(batch) = script.get(polls.fetch_add(1, Ordering::SeqCst) as usize) else {
                 return SourceOutcome::Shutdown;
-            }
-            // Varying batch sizes 1..=4 cover the New/Batch boundary
-            // deterministically for a given script length.
-            let k = (start % 4 + 1).min(total - start);
-            produced.fetch_add(k, Ordering::SeqCst);
-            if k == 1 {
-                SourceOutcome::New(start)
+            };
+            let n = batch.len() as u64;
+            let first = next_id.fetch_add(n, Ordering::SeqCst);
+            if n == 1 {
+                SourceOutcome::New(first)
             } else {
-                SourceOutcome::Batch((start..start + k).collect())
+                SourceOutcome::Batch((first..first + n).collect())
             }
         });
-        let s2 = script.clone();
+        let s2 = sessions.clone();
         reg.session("Gen", move |v: &u64| s2[*v as usize]);
         let order: Arc<parking_lot::Mutex<Vec<u64>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -782,14 +624,25 @@ mod properties {
             NodeOutcome::Ok
         });
         let server = Arc::new(FluxServer::new(program, reg).unwrap());
-        let handle = start(
-            server.clone(),
-            RuntimeKind::event_driven_sharded(1, 1).shard_queue(kind),
-        );
+        let handle = start(server.clone(), RuntimeKind::event_driven_sharded(1, 1));
         handle.join();
-        assert_eq!(server.stats.finished(), total, "[{kind:?}] lost events");
+        assert_eq!(server.stats.finished(), total, "lost events");
         let v = order.lock().clone();
         v
+    }
+
+    /// The sequential model of one shard: a single `VecDeque` that every
+    /// submission appends to and the dispatcher pops from the front.
+    fn fifo_model(script: &[Vec<u64>]) -> Vec<u64> {
+        let mut queue: VecDeque<u64> = VecDeque::new();
+        let mut next_id = 0u64;
+        for batch in script {
+            for _ in batch {
+                queue.push_back(next_id);
+                next_id += 1;
+            }
+        }
+        queue.into_iter().collect()
     }
 
     proptest! {
@@ -833,66 +686,69 @@ mod properties {
             park_after in 1u32..5,
             min_shards in 1usize..3,
         ) {
-            adaptive_interleaving_body(
-                ShardQueueKind::Mutex,
-                shards, io_workers, total, sessions, park_after, min_shards,
+            let ids = Arc::new((0..sessions).collect::<Vec<_>>());
+            let server = session_server(total, ids);
+            let handle = start(
+                server.clone(),
+                RuntimeKind::EventDriven {
+                    shards,
+                    io_workers,
+                    adaptive: AdaptivePolicy::Adaptive(AdaptiveConfig {
+                        min_shards,
+                        sample_every: Duration::from_micros(200),
+                        park_after,
+                        park_below: 1,
+                        wake_depth: 1,
+                    }),
+                    overload: OverloadPolicy::Unbounded,
+                },
             );
-        }
-
-        /// Ring port of the adaptive-interleaving property: the
-        /// lock-free MPSC ring plus the Dekker parked-flag handshake
-        /// must uphold exactly the invariants the mutex kind does under
-        /// random park/wake/steal interleavings.
-        #[test]
-        fn ring_adaptive_interleaving_loses_no_events(
-            shards in 2usize..6,
-            io_workers in 1usize..3,
-            total in 1u64..400,
-            sessions in 1u64..12,
-            park_after in 1u32..5,
-            min_shards in 1usize..3,
-        ) {
-            adaptive_interleaving_body(
-                ShardQueueKind::Ring,
-                shards, io_workers, total, sessions, park_after, min_shards,
-            );
-        }
-
-        /// Differential oracle: the same generated event script runs on
-        /// a single shard under both queue kinds, and the per-session
-        /// execution order must be identical. A tiny ring capacity
-        /// (`FLUX_SHARD_RING_CAP=8`) forces traffic through the
-        /// overflow sidecar, so the overflow-first FIFO rules are under
-        /// test too, not just the in-ring fast path. The env lock keeps
-        /// the process-wide cap from leaking into the steal-sensitive
-        /// ring tests running concurrently.
-        #[test]
-        fn ring_matches_mutex_execution_order(
-            script in proptest::collection::vec(0u64..6, 1..200usize),
-        ) {
-            let _env = test_env_lock();
-            std::env::set_var("FLUX_SHARD_RING_CAP", "8");
-            let script = Arc::new(script);
-            let mutex_order = run_script(ShardQueueKind::Mutex, script.clone());
-            let ring_order = run_script(ShardQueueKind::Ring, script.clone());
-            std::env::remove_var("FLUX_SHARD_RING_CAP");
-            for sid in 0..6u64 {
-                let by_session = |order: &[u64]| -> Vec<u64> {
-                    order
-                        .iter()
-                        .copied()
-                        .filter(|&v| script[v as usize] == sid)
-                        .collect()
-                };
+            handle.join();
+            // Conservation: every flow finished exactly once.
+            prop_assert_eq!(server.stats.finished(), total, "lost events");
+            let stats = server.stats.shard_stats().unwrap();
+            prop_assert_eq!(stats.len(), shards);
+            // Nothing stranded on any shard — in particular not on a
+            // shard that ended the run parked: a parked dispatcher
+            // forwards every straggler before blocking, so a non-zero
+            // final depth there would mean an event was delivered to a
+            // permanently-parked shard.
+            let active = server.stats.adaptive.active_shards.load(Ordering::SeqCst) as usize;
+            prop_assert!(active >= min_shards.min(shards) && active <= shards);
+            for (i, st) in stats.iter().enumerate() {
                 prop_assert_eq!(
-                    by_session(&mutex_order),
-                    by_session(&ring_order),
-                    "session {} order diverged between Mutex and Ring", sid
+                    st.depth.load(Ordering::Relaxed),
+                    0,
+                    "shard {} (active prefix {}) must end drained", i, active
                 );
             }
-            // Single shard, one dispatcher: both kinds are in fact
-            // exact global FIFO, a strictly stronger statement.
-            prop_assert_eq!(mutex_order, ring_order, "global order diverged");
+            // The controller's books balance: it can't have woken more
+            // shards than it parked, and the active count is exactly
+            // configured - parks + wakes.
+            let parks = server.stats.adaptive.parks.load(Ordering::SeqCst);
+            let wakes = server.stats.adaptive.wakes.load(Ordering::SeqCst);
+            prop_assert!(wakes <= parks, "wakes {} > parks {}", wakes, parks);
+            prop_assert_eq!(
+                shards as u64 + wakes - parks,
+                active as u64,
+                "active count must equal configured - parks + wakes"
+            );
+        }
+
+        /// Oracle: on one shard, the execution order of any generated
+        /// submission script equals the sequential `VecDeque` model of
+        /// that script — exact global FIFO across `New`/`Batch`
+        /// boundaries and session ids.
+        #[test]
+        fn single_shard_order_matches_fifo_model(
+            script in proptest::collection::vec(
+                proptest::collection::vec(0u64..6, 1..8usize),
+                1..40usize,
+            ),
+        ) {
+            let expected = fifo_model(&script);
+            let order = run_script(Arc::new(script));
+            prop_assert_eq!(order, expected, "execution order diverged from the FIFO model");
         }
     }
 }

@@ -423,11 +423,17 @@ pub fn build(
         };
         let mut reply = c.driver.take_write_buf();
         Message::encode_piece_into(index, begin, block, &mut reply);
+        // Count before submitting: the submit may deliver the bytes at
+        // once, and a peer that has its last block must already see it
+        // counted.
+        let up = length as u64 + 13;
+        c.blocks_served.fetch_add(1, Ordering::Relaxed);
+        c.bytes_up.fetch_add(up, Ordering::Relaxed);
         if !c.driver.submit_write_buf(f.token, reply) {
+            c.blocks_served.fetch_sub(1, Ordering::Relaxed);
+            c.bytes_up.fetch_sub(up, Ordering::Relaxed);
             return NodeOutcome::Err(4);
         }
-        c.blocks_served.fetch_add(1, Ordering::Relaxed);
-        c.bytes_up.fetch_add(length as u64 + 13, Ordering::Relaxed);
         NodeOutcome::Ok
     });
 

@@ -26,9 +26,7 @@
 
 use flux_core::CompiledProgram;
 use flux_net::{ConnDriver, NetConfig};
-use flux_runtime::{
-    AdaptivePolicy, FusionMode, NodeRegistry, OverloadPolicy, RuntimeKind, ShardQueueKind,
-};
+use flux_runtime::{AdaptivePolicy, FusionMode, NodeRegistry, OverloadPolicy, RuntimeKind};
 use std::sync::Arc;
 
 /// What a server kind must provide to be built: its compiled program,
@@ -77,10 +75,6 @@ pub struct ServerBuilder<S: ServerSpec> {
     /// runtime at [`ServerBuilder::spawn`], so `.adaptive(...)` and
     /// `.runtime(...)` compose in either order.
     adaptive: Option<AdaptivePolicy>,
-    /// Set by [`ServerBuilder::shard_queue`]; applied at
-    /// [`ServerBuilder::spawn`] like `adaptive`, so it composes with
-    /// `.runtime(...)` in either order.
-    shard_queue: Option<ShardQueueKind>,
     /// Set by [`ServerBuilder::fusion`]; [`FusionMode::On`] (segment
     /// execution) when unset.
     fusion: Option<FusionMode>,
@@ -103,7 +97,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
             spec,
             runtime: RuntimeKind::event_driven_sharded(1, 4),
             adaptive: None,
-            shard_queue: None,
             fusion: None,
             overload: None,
             net: NetConfig::default(),
@@ -133,21 +126,10 @@ impl<S: ServerSpec> ServerBuilder<S> {
         self
     }
 
-    /// Selects the shard-queue implementation of the event-driven
-    /// runtime ([`ShardQueueKind::Mutex`] is the default;
-    /// [`ShardQueueKind::Ring`] swaps in the lock-free bounded ring).
-    /// Applied at [`ServerBuilder::spawn`] so it composes with
-    /// [`ServerBuilder::runtime`] in either call order; ignored by the
-    /// non-event runtimes. The `FLUX_SHARD_QUEUE` env var overrides
-    /// either choice at start.
-    pub fn shard_queue(mut self, kind: ShardQueueKind) -> Self {
-        self.shard_queue = Some(kind);
-        self
-    }
-
     /// Selects the flow interpreter: [`FusionMode::On`] (the default)
     /// executes fused straight-line segments in one queue turn,
-    /// [`FusionMode::Off`] keeps the per-vertex oracle for ablation.
+    /// [`FusionMode::Off`] runs the per-vertex interpreter, the oracle
+    /// fusion is tested against.
     /// The `FLUX_FUSE` env var overrides either choice at start.
     pub fn fusion(mut self, mode: FusionMode) -> Self {
         self.fusion = Some(mode);
@@ -239,11 +221,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
             (self.adaptive, &mut self.runtime)
         {
             *adaptive = policy;
-        }
-        if let (Some(kind), RuntimeKind::EventDriven { queue, .. }) =
-            (self.shard_queue, &mut self.runtime)
-        {
-            *queue = kind;
         }
         if let (Some(policy), RuntimeKind::EventDriven { overload, .. }) =
             (self.overload, &mut self.runtime)

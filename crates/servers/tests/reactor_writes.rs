@@ -1,13 +1,12 @@
-//! Acceptance test for the reactor write path (ISSUE 2 tentpole): with
-//! reactor writes enabled, `Write` nodes never occupy an I/O worker —
-//! responses, including partial writes against a full TCP socket
-//! buffer, are drained by the reactor via `POLLOUT`.
+//! Acceptance test for the reactor write path: `Write` nodes never
+//! occupy an I/O worker — responses, including partial writes against a
+//! full TCP socket buffer, are drained by the reactor via `POLLOUT`.
 //!
 //! The behavioural proof: the server runs with **one** I/O worker and a
 //! client that requests a multi-megabyte file and then refuses to read.
-//! Under the seed's blocking write path that worker would park in
-//! `write_all` until the client drains, starving every other
-//! connection's `ReadRequest`; with reactor writes the pool stays free
+//! A blocking write path would park that worker in `write_all` until
+//! the client drains, starving every other connection's
+//! `ReadRequest`; with reactor writes the pool stays free
 //! and other clients are served while the slow reader's response sits
 //! in the reactor's `POLLOUT` drain.
 
@@ -49,12 +48,10 @@ fn write_node_is_not_blocking_in_the_graph() {
 fn slow_reader_never_occupies_the_io_pool() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(
-        web::WebSpec::new(Box::new(acceptor), docroot()).write_mode(web::WriteMode::Reactor),
-    )
-    // One I/O worker: a single blocking write would wedge the pool.
-    .runtime(RuntimeKind::event_driven_sharded(2, 1))
-    .spawn();
+    let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        // One I/O worker: a single blocking write would wedge the pool.
+        .runtime(RuntimeKind::event_driven_sharded(2, 1))
+        .spawn();
 
     // Slow reader: request the big file, read nothing yet. The response
     // overruns the socket buffers, so the reactor is left holding a

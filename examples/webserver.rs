@@ -14,7 +14,7 @@
 
 use flux::http::DocRoot;
 use flux::net::{Listener as _, NetConfig, TcpAcceptor, TcpConn};
-use flux::runtime::{AdaptivePolicy, OverloadPolicy, RuntimeKind, ShardQueueKind};
+use flux::runtime::{AdaptivePolicy, OverloadPolicy, RuntimeKind};
 use flux::servers::{web::WebSpec, ServerBuilder};
 use std::io::Write as _;
 use std::sync::atomic::Ordering;
@@ -44,7 +44,7 @@ fn main() {
     let acceptor = TcpAcceptor::bind(&format!("127.0.0.1:{port}")).expect("bind");
     let addr = acceptor.local_addr();
     // One dispatcher shard per core (FLUX_SHARDS overrides); TCP
-    // readiness comes from the single poll(2) reactor thread.
+    // readiness comes from the single reactor thread.
     let shards: usize = std::env::var("FLUX_SHARDS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -74,9 +74,6 @@ fn main() {
             shards,
             io_workers: 4,
             adaptive,
-            // Mutex/Condvar dispatch is still the default; FLUX_SHARD_QUEUE=ring
-            // selects the lock-free MPSC ring at startup (see crate docs).
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         })
         .net(net)

@@ -13,7 +13,7 @@
 use flux::core::EndKind;
 use flux::runtime::{
     start, AdaptivePolicy, FluxServer, HotOrder, NodeOutcome, NodeRegistry, OverloadPolicy,
-    RuntimeKind, ShardQueueKind, SourceOutcome,
+    RuntimeKind, SourceOutcome,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +26,6 @@ const ALL_RUNTIMES: [RuntimeKind; 4] = [
         shards: 1,
         io_workers: 2,
         adaptive: AdaptivePolicy::Static,
-        queue: ShardQueueKind::Mutex,
         overload: OverloadPolicy::Unbounded,
     },
     RuntimeKind::Staged { stage_workers: 2 },
