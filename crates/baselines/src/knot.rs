@@ -8,7 +8,7 @@
 //! against.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use flux_http::{mime_for, read_request, DocRoot, ParseError, Response, Value};
+use flux_http::{mime_for, read_request_buffered, DocRoot, ParseError, Response, Value};
 use flux_net::{Conn, Listener};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,10 +92,12 @@ impl KnotServer {
     }
 }
 
-/// Serves one connection to completion (the worker's whole job).
+/// Serves one connection to completion (the worker's whole job). The
+/// connection's read carry keeps pipelined requests between reads.
 pub fn serve_connection(conn: &mut dyn Conn, docroot: &DocRoot, stats: &KnotStats) {
+    let mut carry = Vec::new();
     loop {
-        let req = match read_request(conn) {
+        let req = match read_request_buffered(conn, &mut carry) {
             Ok(r) => r,
             Err(ParseError::ConnectionClosed) => return,
             Err(_) => {

@@ -9,21 +9,25 @@
 //! Flux in the paper's Figure 3.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use flux_http::{read_request, DocRoot, ParseError, Request, Response};
+use flux_http::{read_request_buffered, DocRoot, ParseError, Request, Response};
 use flux_net::{Conn, Listener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// A connection travelling between stages with its read carry (bytes
+/// read past the current request, e.g. a pipelined request).
+type Connection = (Box<dyn Conn>, Vec<u8>);
+
 /// Events flowing between stages.
 enum StageEvent {
     /// A connection ready for request parsing.
-    Parse(Box<dyn Conn>),
+    Parse(Connection),
     /// A parsed request awaiting handling.
-    Handle(Box<dyn Conn>, Request),
+    Handle(Connection, Request),
     /// A response ready to send.
-    Send(Box<dyn Conn>, Request, Response),
+    Send(Connection, Request, Response),
 }
 
 /// Stats comparable with the other web servers.
@@ -83,13 +87,14 @@ impl SedaServer {
                     .name("seda-parse".into())
                     .spawn(move || {
                         while let Ok(ev) = rx.recv() {
-                            let StageEvent::Parse(mut conn) = ev else {
+                            let StageEvent::Parse((mut conn, mut carry)) = ev else {
                                 continue;
                             };
-                            match read_request(&mut *conn) {
+                            match read_request_buffered(&mut *conn, &mut carry) {
                                 Ok(req) => {
                                     stats.requests.fetch_add(1, Ordering::Relaxed);
-                                    if next.try_send(StageEvent::Handle(conn, req)).is_err() {
+                                    let ev = StageEvent::Handle((conn, carry), req);
+                                    if next.try_send(ev).is_err() {
                                         stats.shed.fetch_add(1, Ordering::Relaxed);
                                     }
                                 }
@@ -143,7 +148,7 @@ impl SedaServer {
                     .name("seda-send".into())
                     .spawn(move || {
                         while let Ok(ev) = rx.recv() {
-                            let StageEvent::Send(mut conn, req, resp) = ev else {
+                            let StageEvent::Send((mut conn, carry), req, resp) = ev else {
                                 continue;
                             };
                             let keep = req.keep_alive();
@@ -151,7 +156,8 @@ impl SedaServer {
                                 stats
                                     .bytes_out
                                     .fetch_add(resp.wire_len(keep) as u64, Ordering::Relaxed);
-                                if keep && back.try_send(StageEvent::Parse(conn)).is_err() {
+                                let ev = StageEvent::Parse((conn, carry));
+                                if keep && back.try_send(ev).is_err() {
                                     stats.shed.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
@@ -175,7 +181,8 @@ impl SedaServer {
                         }
                         match listener.accept() {
                             Ok(conn) => {
-                                if parse_tx.try_send(StageEvent::Parse(conn)).is_err() {
+                                let ev = StageEvent::Parse((conn, Vec::new()));
+                                if parse_tx.try_send(ev).is_err() {
                                     stats.shed.fetch_add(1, Ordering::Relaxed);
                                 }
                             }

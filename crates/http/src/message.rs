@@ -6,7 +6,7 @@
 //! or HTTP/1.0 without `keep-alive` closes), and standard responses.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard limits protecting the parser.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
@@ -107,42 +107,99 @@ impl From<io::Error> for ParseError {
     }
 }
 
-/// Reads and parses one request from `r`.
+/// Bytes asked of the transport per `read` while the carry holds no
+/// complete request head.
+const READ_CHUNK: usize = 4 * 1024;
+
+/// Reads and parses one request from `r`: a one-shot helper for callers
+/// without a per-connection buffer. Bytes the transport delivers past
+/// the end of the request (the start of a pipelined request) are
+/// discarded; keep-alive servers use [`read_request_buffered`].
 pub fn read_request(r: &mut dyn Read) -> Result<Request, ParseError> {
-    let mut head = Vec::with_capacity(512);
-    read_request_buffered(r, &mut head)
+    read_request_buffered(r, &mut Vec::new())
 }
 
-/// Like [`read_request`], but accumulates the request head into a
-/// caller-supplied buffer (cleared first). Keep-alive servers pass a
-/// per-connection scratch buffer so steady-state request parsing reuses
-/// one allocation across every request on the connection.
-pub fn read_request_buffered(r: &mut dyn Read, head: &mut Vec<u8>) -> Result<Request, ParseError> {
-    // Accumulate until the blank line.
-    head.clear();
-    let mut byte = [0u8; 1];
+/// Reads and parses the next request on a connection whose carry buffer
+/// is `carry`.
+///
+/// **The carry contract.** `carry` holds bytes already read from the
+/// connection but not yet parsed. The head is taken from `carry` first;
+/// `r` is read, in chunks of up to 4 KiB appended to `carry`, only while
+/// `carry` holds no complete head, and a `Content-Length` body takes its
+/// bytes from `carry` before reading `r`. Bytes past the request stay in
+/// `carry` for the next call, so a head that arrives in one segment
+/// costs one `read` and pipelined requests are never lost. The caller
+/// keeps one carry per connection for the connection's lifetime and
+/// never hands it to another connection. A head ends at the first
+/// `\r\n\r\n` or `\n\n`.
+pub fn read_request_buffered(r: &mut dyn Read, carry: &mut Vec<u8>) -> Result<Request, ParseError> {
+    let head_len = read_head(r, carry)?;
+    let parsed = parse_head(&carry[..head_len]);
+    carry.drain(..head_len);
+    let (mut req, body_len) = parsed?;
+    let from_carry = body_len.min(carry.len());
+    req.body.extend(carry.drain(..from_carry));
+    req.body.resize(body_len, 0);
+    let mut read = from_carry;
+    while read < body_len {
+        match r.read(&mut req.body[read..]) {
+            Ok(0) => return Err(ParseError::Malformed("eof inside body")),
+            Ok(n) => read += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ParseError::Io(e)),
+        }
+    }
+    Ok(req)
+}
+
+/// Reads from `r` into `carry` until `carry` starts with a complete
+/// request head; returns the head's length, terminator included.
+fn read_head(r: &mut dyn Read, carry: &mut Vec<u8>) -> Result<usize, ParseError> {
+    let mut scanned = 0;
     loop {
-        match r.read(&mut byte) {
+        if let Some(end) = head_end(carry, scanned) {
+            return if end > MAX_HEAD_BYTES {
+                Err(ParseError::TooLarge)
+            } else {
+                Ok(end)
+            };
+        }
+        if carry.len() > MAX_HEAD_BYTES {
+            return Err(ParseError::TooLarge);
+        }
+        scanned = carry.len();
+        carry.resize(scanned + READ_CHUNK, 0);
+        let got = r.read(&mut carry[scanned..]);
+        carry.truncate(scanned + got.as_ref().map_or(0, |n| *n));
+        match got {
             Ok(0) => {
-                return Err(if head.is_empty() {
+                return Err(if carry.is_empty() {
                     ParseError::ConnectionClosed
                 } else {
                     ParseError::Malformed("eof inside request head")
                 });
             }
-            Ok(_) => {
-                head.push(byte[0]);
-                if head.len() > MAX_HEAD_BYTES {
-                    return Err(ParseError::TooLarge);
-                }
-                if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                    break;
-                }
-            }
+            Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(ParseError::Io(e)),
         }
     }
+}
+
+/// Length of the first head in `buf`: the shortest prefix ending in
+/// `\r\n\r\n` or `\n\n`. No prefix shorter than `from` + 1 ends in
+/// one (an earlier scan ruled them out).
+fn head_end(buf: &[u8], from: usize) -> Option<usize> {
+    (from..buf.len())
+        .find(|&i| {
+            buf[i] == b'\n' && (buf[..=i].ends_with(b"\n\n") || buf[..=i].ends_with(b"\r\n\r\n"))
+        })
+        .map(|i| i + 1)
+}
+
+/// Parses a complete request head; returns the request (body empty)
+/// and its `Content-Length`.
+fn parse_head(head: &[u8]) -> Result<(Request, usize), ParseError> {
     let head_str = std::str::from_utf8(head).map_err(|_| ParseError::Malformed("non-utf8 head"))?;
     let mut lines = head_str.split("\r\n").flat_map(|l| l.split('\n'));
     let request_line = lines.next().ok_or(ParseError::Malformed("empty head"))?;
@@ -170,34 +227,24 @@ pub fn read_request_buffered(r: &mut dyn Read, head: &mut Vec<u8>) -> Result<Req
         headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
     }
 
-    let mut body = Vec::new();
-    if let Some(len) = headers.get("content-length") {
-        let len: usize = len
+    let body_len = match headers.get("content-length") {
+        Some(len) => len
             .parse()
-            .map_err(|_| ParseError::Malformed("bad content-length"))?;
-        if len > MAX_BODY_BYTES {
-            return Err(ParseError::TooLarge);
-        }
-        body.resize(len, 0);
-        let mut read = 0;
-        while read < len {
-            match r.read(&mut body[read..]) {
-                Ok(0) => return Err(ParseError::Malformed("eof inside body")),
-                Ok(n) => read += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ParseError::Io(e)),
-            }
-        }
+            .map_err(|_| ParseError::Malformed("bad content-length"))?,
+        None => 0,
+    };
+    if body_len > MAX_BODY_BYTES {
+        return Err(ParseError::TooLarge);
     }
-
-    Ok(Request {
+    let req = Request {
         method,
         path,
         query,
         http11,
         headers,
-        body,
-    })
+        body: Vec::new(),
+    };
+    Ok((req, body_len))
 }
 
 /// Decodes `%XX` escapes and `+` as space.
@@ -301,26 +348,50 @@ impl Response {
         self
     }
 
-    /// Serializes status line, headers (adding `Content-Length`,
-    /// `Connection` and `Server`) and the body.
-    pub fn write_to(&self, w: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
-        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
+    /// Appends the status line, the headers (adding `Content-Length:
+    /// body_len`, `Connection` and `Server`) and the blank line to
+    /// `out`. Callers that own the body elsewhere append it themselves.
+    pub fn write_head(&self, out: &mut Vec<u8>, body_len: usize, keep_alive: bool) {
+        write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason)
+            .expect("Vec writes cannot fail");
         for (k, v) in &self.headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str("Server: flux-rs/0.1\r\n");
-        head.push_str(if keep_alive {
-            "Connection: keep-alive\r\n"
+        write!(out, "Content-Length: {body_len}\r\n").expect("Vec writes cannot fail");
+        out.extend_from_slice(b"Server: flux-rs/0.1\r\n");
+        out.extend_from_slice(if keep_alive {
+            b"Connection: keep-alive\r\n"
         } else {
-            "Connection: close\r\n"
+            b"Connection: close\r\n"
         });
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(b"\r\n");
+    }
+
+    /// Serializes the head ([`Response::write_head`]) and the body with
+    /// one vectored write, so a response that fits the transport's
+    /// buffer leaves in a single `writev` (no Nagle wait between head
+    /// and body). Short writes are resumed where they stopped.
+    pub fn write_to(&self, w: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
+        let mut head = Vec::with_capacity(160);
+        self.write_head(&mut head, self.body.len(), keep_alive);
+        let mut slices = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "transport accepted zero bytes",
+                    ))
+                }
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 
@@ -504,6 +575,277 @@ mod tests {
         let resp = Response::not_found();
         assert_eq!(resp.status, 404);
         assert!(String::from_utf8_lossy(&resp.body).contains("404 Not Found"));
+    }
+
+    #[test]
+    fn pipelined_requests_stay_in_the_carry() {
+        let wire = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 3\r\n\r\nxyzGET /c HTTP/1.1\n\n";
+        let mut r = SplitReader::new(wire.to_vec(), vec![usize::MAX], 0);
+        let mut carry = Vec::new();
+        let a = read_request_buffered(&mut r, &mut carry).unwrap();
+        assert_eq!(
+            (a.path.as_str(), r.reads),
+            ("/a", 1),
+            "one read for the whole stream"
+        );
+        let b = read_request_buffered(&mut r, &mut carry).unwrap();
+        assert_eq!(
+            (b.path.as_str(), b.body.as_slice()),
+            ("/b", b"xyz".as_ref())
+        );
+        let c = read_request_buffered(&mut r, &mut carry).unwrap();
+        assert_eq!(
+            (c.path.as_str(), r.reads),
+            ("/c", 1),
+            "no read while the carry has a head"
+        );
+        assert!(carry.is_empty());
+        assert!(matches!(
+            read_request_buffered(&mut r, &mut carry),
+            Err(ParseError::ConnectionClosed)
+        ));
+    }
+
+    #[test]
+    fn oversized_head_is_too_large() {
+        let mut raw = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        raw.resize(MAX_HEAD_BYTES + 10, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        assert!(matches!(parse(&raw), Err(ParseError::TooLarge)));
+    }
+
+    /// A `Write` that counts calls and takes at most `cap` bytes each.
+    struct CountingWriter {
+        out: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            for b in bufs {
+                let room = self.cap - (self.out.len() - before);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_to_is_one_vectored_write() {
+        let resp = Response::ok("text/plain", b"a body of some length".to_vec());
+        let mut expected = Vec::new();
+        resp.write_head(&mut expected, resp.body.len(), true);
+        expected.extend_from_slice(&resp.body);
+        assert_eq!(expected.len(), resp.wire_len(true));
+
+        let mut w = CountingWriter {
+            out: Vec::new(),
+            calls: 0,
+            cap: usize::MAX,
+        };
+        resp.write_to(&mut w, true).unwrap();
+        assert_eq!((w.calls, &w.out), (1, &expected));
+
+        for cap in [1, 7, expected.len() - resp.body.len(), expected.len() - 1] {
+            let mut w = CountingWriter {
+                out: Vec::new(),
+                calls: 0,
+                cap,
+            };
+            resp.write_to(&mut w, true).unwrap();
+            assert_eq!(w.out, expected, "short writes of {cap} bytes");
+            assert_eq!(w.calls, expected.len().div_ceil(cap));
+        }
+    }
+
+    /// A reader that hands out `data` in reads of the given sizes
+    /// (cycled), failing every `interrupt_every`-th call with
+    /// `Interrupted` (0: never).
+    struct SplitReader {
+        data: Vec<u8>,
+        pos: usize,
+        sizes: Vec<usize>,
+        interrupt_every: usize,
+        reads: usize,
+    }
+
+    impl SplitReader {
+        fn new(data: Vec<u8>, sizes: Vec<usize>, interrupt_every: usize) -> Self {
+            SplitReader {
+                data,
+                pos: 0,
+                sizes,
+                interrupt_every,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for SplitReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.interrupt_every > 0 && self.reads.is_multiple_of(self.interrupt_every) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let size = self.sizes[self.reads % self.sizes.len()];
+            let n = size.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// The byte-at-a-time framing the chunked reader replaced: one
+    /// `read` per head byte, then the body straight from `r`. Kept as
+    /// the oracle for the carry contract.
+    fn read_request_bytewise(r: &mut dyn Read) -> Result<Request, ParseError> {
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        loop {
+            match r.read(&mut byte) {
+                Ok(0) => {
+                    return Err(if head.is_empty() {
+                        ParseError::ConnectionClosed
+                    } else {
+                        ParseError::Malformed("eof inside request head")
+                    });
+                }
+                Ok(_) => {
+                    head.push(byte[0]);
+                    if head.len() > MAX_HEAD_BYTES {
+                        return Err(ParseError::TooLarge);
+                    }
+                    if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ParseError::Io(e)),
+            }
+        }
+        let (mut req, len) = parse_head(&head)?;
+        req.body.resize(len, 0);
+        let mut read = 0;
+        while read < len {
+            match r.read(&mut req.body[read..]) {
+                Ok(0) => return Err(ParseError::Malformed("eof inside body")),
+                Ok(n) => read += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ParseError::Io(e)),
+            }
+        }
+        Ok(req)
+    }
+
+    /// Every field of a request, comparable; errors by their message.
+    type Outcome = Result<(Method, String, String, bool, Vec<(String, String)>, Vec<u8>), String>;
+
+    fn outcome(r: Result<Request, ParseError>) -> Outcome {
+        r.map(|req| {
+            let mut headers: Vec<_> = req.headers.into_iter().collect();
+            headers.sort();
+            (
+                req.method, req.path, req.query, req.http11, headers, req.body,
+            )
+        })
+        .map_err(|e| e.to_string())
+    }
+
+    /// Requests read from `r` up to and including the first error.
+    fn drain(mut next: impl FnMut() -> Result<Request, ParseError>) -> Vec<Outcome> {
+        let mut seen = Vec::new();
+        loop {
+            let o = outcome(next());
+            let done = o.is_err();
+            seen.push(o);
+            if done {
+                return seen;
+            }
+        }
+    }
+
+    /// (method, path+query, HTTP/1.1?, headers, LF-only line ends?, body)
+    type Spec = (usize, String, bool, Vec<(String, String)>, bool, String);
+
+    fn encode(spec: &Spec) -> Vec<u8> {
+        let (method, target, http11, headers, lf_only, body) = spec;
+        let eol = if *lf_only { "\n" } else { "\r\n" };
+        if *method == 3 {
+            return format!("BOGUS{eol}{eol}").into_bytes();
+        }
+        let name = ["GET", "HEAD", "POST"][*method];
+        let minor = if *http11 { 1 } else { 0 };
+        let mut s = format!("{name} /{target} HTTP/1.{minor}{eol}");
+        for (k, v) in headers {
+            s.push_str(&format!("{k}: {v}{eol}"));
+        }
+        if *method == 2 {
+            s.push_str(&format!("Content-Length: {}{eol}{eol}{body}", body.len()));
+        } else {
+            s.push_str(eol);
+        }
+        s.into_bytes()
+    }
+
+    mod carry_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn spec() -> BoxedStrategy<Spec> {
+            (
+                prop_oneof![
+                    Just(0usize),
+                    Just(1usize),
+                    Just(2usize),
+                    Just(2usize),
+                    0usize..4
+                ],
+                "[a-z]{1,6}[?a-z0-9=&]{0,6}",
+                any::<bool>(),
+                proptest::collection::vec(("[A-Za-z]{1,6}", "[a-z0-9 ]{0,8}"), 0..3),
+                any::<bool>(),
+                "[a-z\r\n]{0,24}",
+            )
+                .boxed()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any split of a request stream into reads yields exactly
+            /// the requests and the error the byte-at-a-time reader
+            /// yields.
+            #[test]
+            fn chunked_reads_match_bytewise_oracle(
+                specs in proptest::collection::vec(spec(), 1..6),
+                cut in any::<usize>(),
+                truncate in any::<bool>(),
+                sizes in proptest::collection::vec(1usize..48, 1..6),
+                interrupt_every in prop_oneof![Just(0usize), 2usize..5],
+            ) {
+                let mut wire: Vec<u8> = specs.iter().flat_map(encode).collect();
+                if truncate {
+                    wire.truncate(cut % wire.len());
+                }
+                let mut oracle_reader = io::Cursor::new(wire.clone());
+                let want = drain(|| read_request_bytewise(&mut oracle_reader));
+                let mut r = SplitReader::new(wire, sizes, interrupt_every);
+                let mut carry = Vec::new();
+                let got = drain(|| read_request_buffered(&mut r, &mut carry));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

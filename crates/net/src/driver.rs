@@ -265,9 +265,11 @@ struct SlotState {
     /// Close the connection once the buffer drains
     /// ([`ConnDriver::remove_when_flushed`]).
     close_after: bool,
-    /// Per-connection read scratch, reused across requests (see
-    /// [`ConnDriver::take_read_buf`]).
-    scratch: Vec<u8>,
+    /// The connection's read carry: bytes read from the transport but
+    /// not yet consumed (see [`ConnDriver::take_read_buf`]). Cleared on
+    /// `add` and `remove`, so a reused slot never hands one tenant's
+    /// unread bytes to the next.
+    carry: Vec<u8>,
     /// Milliseconds (since the driver's epoch) of the last observed
     /// application progress: set on registration, refreshed by
     /// [`ConnDriver::mark_progress`] and by successful write drains.
@@ -458,6 +460,7 @@ impl ConnDriver {
             st.conn = Some(Arc::new(Mutex::new(conn)));
             st.submissions = 0;
             st.close_after = false;
+            st.carry.clear();
             st.progress = now;
             #[cfg(unix)]
             {
@@ -498,6 +501,7 @@ impl ConnDriver {
             let failed = st.submissions;
             st.submissions = 0;
             st.close_after = false;
+            st.carry.clear();
             (conn, failed)
         };
         self.conn_count.fetch_sub(1, Ordering::Relaxed);
@@ -705,15 +709,18 @@ impl ConnDriver {
         ok
     }
 
-    /// Takes the connection's read scratch buffer (empty on first use).
-    /// Request parsers reuse it across every request on the connection;
-    /// return it with [`ConnDriver::put_read_buf`].
+    /// Takes the connection's read carry buffer: bytes already read
+    /// from the transport but not yet consumed (empty on first use).
+    /// Request parsers append to it and leave bytes past the parsed
+    /// request in it (see `flux_http::read_request_buffered`); return
+    /// it with [`ConnDriver::put_read_buf`] before re-arming the
+    /// connection.
     pub fn take_read_buf(&self, token: Token) -> Vec<u8> {
         match self.slot_arc(token) {
             Some(slot) => {
                 let mut st = slot.lock();
                 if st.gen == token_gen(token) {
-                    std::mem::take(&mut st.scratch)
+                    std::mem::take(&mut st.carry)
                 } else {
                     Vec::new()
                 }
@@ -722,16 +729,20 @@ impl ConnDriver {
         }
     }
 
-    /// Returns a read scratch buffer to its connection slot (dropped if
-    /// the connection is gone or the buffer grew past 256 KiB).
+    /// Returns a read carry buffer to its connection slot. Dropped only
+    /// when the connection is gone, or when it is empty and its capacity
+    /// grew past 256 KiB: unread bytes are never dropped. While the
+    /// carry is non-empty, [`ConnDriver::arm`] signals `Readable` at
+    /// once, since the transport will not signal again for bytes
+    /// already read.
     pub fn put_read_buf(&self, token: Token, buf: Vec<u8>) {
-        if buf.capacity() > 256 * 1024 {
+        if buf.is_empty() && buf.capacity() > 256 * 1024 {
             return;
         }
         if let Some(slot) = self.slot_arc(token) {
             let mut st = slot.lock();
             if st.gen == token_gen(token) && st.conn.is_some() {
-                st.scratch = buf;
+                st.carry = buf;
             }
         }
     }
@@ -1039,10 +1050,23 @@ impl ConnDriver {
     /// transports install a watch callback; fd-backed transports (TCP)
     /// are registered with the shared reactor thread. Only a
     /// transport with neither capability falls back to a helper thread.
+    /// A connection whose read carry holds bytes (a pipelined request
+    /// already read) is `Readable` at once, without a watch.
     pub fn arm(self: &Arc<Self>, token: Token) {
-        let Some(shared) = self.get(token) else {
-            return;
+        let (shared, carried) = {
+            let Some(slot) = self.slot_arc(token) else {
+                return;
+            };
+            let st = slot.lock();
+            match &st.conn {
+                Some(conn) if st.gen == token_gen(token) => (conn.clone(), !st.carry.is_empty()),
+                _ => return,
+            }
         };
+        if carried {
+            self.send_one(DriverEvent::Readable(token));
+            return;
+        }
         let tx = self.tx.clone();
         let watched = {
             let conn = shared.lock();
@@ -1767,6 +1791,65 @@ mod tests {
         }
         assert_eq!(seen, tokens.iter().copied().collect());
         assert_eq!(driver.reactor_events(), 32);
+        driver.stop();
+    }
+
+    /// Bytes left in a removed connection's read carry never reach the
+    /// next tenant of its slot: not through the slot, and not through a
+    /// late `put_read_buf` under the stale token.
+    #[test]
+    fn slot_reuse_never_inherits_the_carry() {
+        let driver = Arc::new(ConnDriver::new());
+        let (_client_a, server_a) = crate::mem::MemConn::pair();
+        let a = driver.add(Box::new(server_a));
+        driver.put_read_buf(a, b"GET /stale HTTP/1.1\r\n\r\n".to_vec());
+        assert!(driver.remove(a).is_some());
+
+        let (_client_b, server_b) = crate::mem::MemConn::pair();
+        let b = driver.add(Box::new(server_b));
+        assert_eq!(token_slot(b), token_slot(a), "the slot is reused");
+        assert!(driver.take_read_buf(b).is_empty());
+
+        // A parser that took A's carry before the removal returns it
+        // after B moved in: dropped, not handed to B.
+        let (_client_c, server_c) = crate::mem::MemConn::pair();
+        let c = driver.add(Box::new(server_c));
+        driver.put_read_buf(c, b"partial".to_vec());
+        let taken = driver.take_read_buf(c);
+        driver.remove(c);
+        let (_client_d, server_d) = crate::mem::MemConn::pair();
+        let d = driver.add(Box::new(server_d));
+        assert_eq!(token_slot(d), token_slot(c));
+        driver.put_read_buf(c, taken);
+        assert!(driver.take_read_buf(d).is_empty());
+        driver.stop();
+    }
+
+    /// A connection whose carry holds bytes is `Readable` on `arm`
+    /// without new transport data, and unread bytes survive
+    /// `put_read_buf` whatever the buffer's capacity.
+    #[test]
+    fn arm_signals_a_non_empty_carry_at_once() {
+        let driver = Arc::new(ConnDriver::new());
+        let (_client, server) = crate::mem::MemConn::pair();
+        let token = driver.add(Box::new(server));
+        let mut carry = Vec::with_capacity(512 * 1024);
+        carry.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+        driver.put_read_buf(token, carry);
+        driver.arm(token);
+        assert_eq!(
+            driver.next_event(Duration::from_secs(2)),
+            Some(DriverEvent::Readable(token))
+        );
+        let carry = driver.take_read_buf(token);
+        assert_eq!(carry, b"GET /next HTTP/1.1\r\n\r\n");
+
+        // An empty oversized buffer is dropped; an empty carry arms a
+        // real watch, which stays quiet without data.
+        driver.put_read_buf(token, Vec::with_capacity(512 * 1024));
+        assert_eq!(driver.take_read_buf(token).capacity(), 0);
+        driver.arm(token);
+        assert_eq!(driver.next_event(Duration::from_millis(50)), None);
         driver.stop();
     }
 

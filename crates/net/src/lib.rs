@@ -94,9 +94,10 @@
 //! * **Buffer pooling.** Response payloads are serialized into buffers
 //!   checked out of a bounded [`pool::BytePool`]
 //!   ([`ConnDriver::take_write_buf`]/[`ConnDriver::submit_write_buf`])
-//!   and recycled after the transport takes the bytes; per-connection
-//!   read scratch ([`ConnDriver::take_read_buf`]) is reused across all
-//!   requests on a keep-alive connection.
+//!   and recycled after the transport takes the bytes; each
+//!   connection's read carry ([`ConnDriver::take_read_buf`]) is reused
+//!   across all requests on a keep-alive connection and keeps bytes
+//!   read past a request (pipelining) for the next one.
 //! * **Shared fan-out payloads.** Multicast results are encoded once,
 //!   sealed into a refcounted [`pool::SharedPayload`]
 //!   ([`ConnDriver::seal_write_buf`]) and submitted to every

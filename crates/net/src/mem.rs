@@ -28,6 +28,11 @@ struct Pipe {
 
 impl Pipe {
     fn write(&self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[io::IoSlice::new(buf)])
+    }
+
+    /// Appends every slice under one lock, waking the reader once.
+    fn write_vectored(&self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
         let mut s = self.state.lock();
         if s.closed {
             return Err(io::Error::new(
@@ -35,14 +40,18 @@ impl Pipe {
                 "peer closed the connection",
             ));
         }
-        s.data.extend(buf);
+        let mut n = 0;
+        for buf in bufs {
+            s.data.extend(buf.iter());
+            n += buf.len();
+        }
         let watch = s.watch.take();
         drop(s);
         self.cond.notify_all();
         if let Some(w) = watch {
             w();
         }
-        Ok(buf.len())
+        Ok(n)
     }
 
     fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
@@ -170,6 +179,13 @@ impl io::Write for MemConn {
             s.consume(buf.len());
         }
         self.tx.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        if let Some(s) = &self.shaper {
+            s.consume(bufs.iter().map(|b| b.len()).sum());
+        }
+        self.tx.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -236,10 +236,11 @@ pub fn create_poller(backend: PollerBackend) -> Box<dyn Poller> {
     }
 }
 
-/// The tiny slice of libc the backends need, declared directly so the
+/// The tiny slice of libc the backends (and the TCP transport's
+/// accept wait and non-blocking send) need, declared directly so the
 /// offline build does not depend on the `libc` crate.
 #[allow(non_camel_case_types)]
-mod sys {
+pub(crate) mod sys {
     pub type c_short = i16;
     pub type c_int = i32;
     pub type nfds_t = std::ffi::c_ulong;
@@ -258,8 +259,21 @@ mod sys {
         pub revents: c_short,
     }
 
+    /// `send(2)` flags: never block this call (whatever the socket's
+    /// mode), and report a closed peer as `EPIPE` rather than raising
+    /// `SIGPIPE` (Linux only; Rust binaries ignore `SIGPIPE` anyway).
+    #[cfg(target_os = "linux")]
+    pub const MSG_DONTWAIT: c_int = 0x40;
+    #[cfg(not(target_os = "linux"))]
+    pub const MSG_DONTWAIT: c_int = 0x80;
+    #[cfg(target_os = "linux")]
+    pub const MSG_NOSIGNAL: c_int = 0x4000;
+    #[cfg(not(target_os = "linux"))]
+    pub const MSG_NOSIGNAL: c_int = 0;
+
     extern "C" {
         pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
+        pub fn send(fd: c_int, buf: *const std::ffi::c_void, len: usize, flags: c_int) -> isize;
     }
 
     #[cfg(target_os = "linux")]

@@ -1,12 +1,14 @@
-//! Real TCP/UDP transports over `std::net`, for examples and
-//! interoperability testing. Benchmarks use the in-memory transport.
+//! Real TCP/UDP transports over `std::net`. The examples, the
+//! interoperability tests and the repository benchmark (`perfbench`,
+//! over loopback) run the servers on them; unit tests and the ablation
+//! harness mostly use the in-memory transport.
 
 use crate::pool::{OutBuf, SharedPayload};
 use crate::traits::{Conn, Datagram, Listener, WriteProgress};
 use parking_lot::Mutex;
 use std::io;
 use std::net::{TcpListener, TcpStream, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A TCP connection implementing [`Conn`].
 ///
@@ -43,10 +45,7 @@ impl TcpConn {
         Ok(TcpConn::new(TcpStream::connect(addr)?))
     }
 
-    /// Non-blocking drain of the output buffer. The socket is switched
-    /// to non-blocking mode only for the duration of the call; callers
-    /// hold the connection lock, so blocking reads elsewhere never
-    /// observe the mode flip.
+    /// Non-blocking drain of the output buffer.
     fn drain_nonblocking(&mut self) -> io::Result<WriteProgress> {
         while let Some(front) = self.out.front() {
             let n = nb_write(&self.stream, front)?;
@@ -61,31 +60,45 @@ impl TcpConn {
 }
 
 /// Writes as much of `buf` as the socket accepts without blocking,
-/// returning the number of bytes taken (the socket's non-blocking flag
-/// is restored before returning).
+/// returning the number of bytes taken. One `send(2)` with
+/// `MSG_DONTWAIT` per call: the socket's file mode is never touched, so
+/// a blocking read on a `try_clone`d handle (which shares the open file
+/// description) never sees a non-blocking socket. A short send means
+/// the socket buffer is full, so it returns without a second try.
+#[cfg(unix)]
 fn nb_write(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
-    use std::io::Write as _;
-    stream.set_nonblocking(true)?;
-    let mut done = 0;
-    let result = loop {
-        if done >= buf.len() {
-            break Ok(done);
-        }
-        match (&mut &*stream).write(&buf[done..]) {
-            Ok(0) => {
-                break Err(io::Error::new(
+    use crate::poller::sys;
+    use std::os::fd::AsRawFd;
+    loop {
+        let flags = sys::MSG_DONTWAIT | sys::MSG_NOSIGNAL;
+        // SAFETY: `buf` is a live slice of `buf.len()` readable bytes and
+        // the fd is owned by `stream`, which outlives the call.
+        let n = unsafe { sys::send(stream.as_raw_fd(), buf.as_ptr().cast(), buf.len(), flags) };
+        if n >= 0 {
+            return match n as usize {
+                0 if !buf.is_empty() => Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "socket accepted zero bytes",
-                ))
-            }
-            Ok(n) => done += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(done),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => break Err(e),
+                )),
+                n => Ok(n),
+            };
         }
-    };
-    stream.set_nonblocking(false)?;
-    result
+        let e = io::Error::last_os_error();
+        match e.kind() {
+            io::ErrorKind::WouldBlock => return Ok(0),
+            io::ErrorKind::Interrupted => continue,
+            _ => return Err(e),
+        }
+    }
+}
+
+/// Without `MSG_DONTWAIT` the write blocks (the trait's portable
+/// fallback; only Unix hosts run the reactor that relies on `Pending`).
+#[cfg(not(unix))]
+fn nb_write(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+    use std::io::Write as _;
+    (&mut &*stream).write_all(buf)?;
+    Ok(buf.len())
 }
 
 impl io::Read for TcpConn {
@@ -97,6 +110,10 @@ impl io::Read for TcpConn {
 impl io::Write for TcpConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.stream.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        self.stream.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -182,9 +199,9 @@ impl Conn for TcpConn {
     }
 }
 
-/// A TCP listener implementing [`Listener`]. Accept timeouts are emulated
-/// with a non-blocking accept + sleep loop, since `std` exposes no
-/// `SO_RCVTIMEO` for listeners.
+/// A TCP listener implementing [`Listener`]. The listening socket is
+/// non-blocking; `accept` waits for it in `poll(2)`, so a connection is
+/// taken the moment it arrives and an accept timeout costs one syscall.
 pub struct TcpAcceptor {
     listener: TcpListener,
     timeout: Mutex<Option<Duration>>,
@@ -194,6 +211,8 @@ impl TcpAcceptor {
     /// Binds to `addr` (use port 0 for an ephemeral port).
     pub fn bind(addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        #[cfg(unix)]
+        listener.set_nonblocking(true)?;
         Ok(TcpAcceptor {
             listener,
             timeout: Mutex::new(None),
@@ -228,39 +247,72 @@ impl TcpAcceptor {
             Err(io::Error::last_os_error())
         }
     }
+
+    /// Waits up to `timeout` (`None`: forever) for the listener to become
+    /// readable. `Ok(false)` on timeout or on a signal (the caller
+    /// re-checks its deadline).
+    #[cfg(unix)]
+    fn wait_acceptable(&self, timeout: Option<Duration>) -> io::Result<bool> {
+        use crate::poller::sys;
+        use std::os::fd::AsRawFd;
+        let ms = timeout.map_or(-1, |d| {
+            d.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+        });
+        let mut pfd = sys::pollfd {
+            fd: self.listener.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `pfd` is one valid, exclusively borrowed `pollfd`
+        // (nfds = 1) naming the listener's fd, which `self` keeps open.
+        match unsafe { sys::poll(&mut pfd, 1, ms) } {
+            rc if rc > 0 => Ok(true),
+            0 => Ok(false),
+            _ => {
+                let e = io::Error::last_os_error();
+                match e.kind() {
+                    io::ErrorKind::Interrupted => Ok(false),
+                    _ => Err(e),
+                }
+            }
+        }
+    }
 }
 
 impl Listener for TcpAcceptor {
+    /// With a timeout set, waits in `poll(2)` for the remaining time and
+    /// fails with `TimedOut` once it has passed. Off Unix the listener
+    /// stays blocking and the timeout is not honoured.
     fn accept(&self) -> io::Result<Box<dyn Conn>> {
-        let timeout = *self.timeout.lock();
-        match timeout {
-            None => {
-                self.listener.set_nonblocking(false)?;
-                let (s, _) = self.listener.accept()?;
-                Ok(Box::new(TcpConn::new(s)))
-            }
-            Some(d) => {
-                self.listener.set_nonblocking(true)?;
-                let deadline = std::time::Instant::now() + d;
-                loop {
-                    match self.listener.accept() {
-                        Ok((s, _)) => {
-                            s.set_nonblocking(false)?;
-                            return Ok(Box::new(TcpConn::new(s)));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            if std::time::Instant::now() >= deadline {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::TimedOut,
-                                    "accept timed out",
-                                ));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(e) => return Err(e),
+        #[cfg(unix)]
+        {
+            let deadline = self.timeout.lock().map(|d| Instant::now() + d);
+            loop {
+                let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if left == Some(Duration::ZERO) {
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, "accept timed out"));
+                }
+                if !self.wait_acceptable(left)? {
+                    continue;
+                }
+                match self.listener.accept() {
+                    Ok((s, _)) => {
+                        // Linux sockets never inherit the listener's
+                        // O_NONBLOCK; other Unixes do.
+                        #[cfg(not(target_os = "linux"))]
+                        s.set_nonblocking(false)?;
+                        return Ok(Box::new(TcpConn::new(s)));
                     }
+                    // Readable, but another accept (or a reset) took it.
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => return Err(e),
                 }
             }
+        }
+        #[cfg(not(unix))]
+        {
+            let (s, _) = self.listener.accept()?;
+            Ok(Box::new(TcpConn::new(s)))
         }
     }
 

@@ -4,13 +4,17 @@
 //! Serves HTTP requests for PPM-stored images compressed to JPEG, with
 //! the LFU cache and its `CheckCache`/`StoreInCache`/`Complete`
 //! reference-count protocol guarded by the `cache` atomicity constraint
-//! — the program is the paper's Figure 2, verbatim (plus `blocking`
-//! declarations for the event runtime).
+//! — the program is the paper's Figure 2, verbatim, plus one
+//! `blocking ReadRequest` declaration for the event runtime.
 //!
 //! Two operation modes:
 //!
 //! * **Net**: real requests over `flux-net` (`GET /imgN-S.jpg`, scale
-//!   `S` in eighths).
+//!   `S` in eighths). `ReadRequest` parses from the connection's read
+//!   carry, so pipelined requests are kept; `Write` serializes the
+//!   head and the cached JPEG into one pooled buffer and hands it to
+//!   the driver's non-blocking write path, so a response leaves in one
+//!   send and never occupies an I/O worker.
 //! * **Synthetic**: the Figure 6 load pattern — open-loop arrivals at a
 //!   fixed rate, no network, with either the real JPEG encoder or a
 //!   calibrated timed `Compress` (which lets a small host emulate the
@@ -18,7 +22,7 @@
 
 use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
-use flux_http::{read_request, ParseError, Response};
+use flux_http::{read_request_buffered, ParseError, Response};
 use flux_image::{jpeg_encode, Image, LfuCache};
 use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, Token};
 use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome};
@@ -27,7 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Figure 2, with the handler/blocking declarations spelled out.
+/// Figure 2, with the handler declarations spelled out and
+/// `ReadRequest` (the one node that waits on a socket) declared
+/// blocking.
 pub const FLUX_SRC: &str = r#"
     Listen () => (int socket);
     ReadRequest (int socket)
@@ -60,7 +66,6 @@ pub const FLUX_SRC: &str = r#"
     atomic Complete:{cache};
 
     blocking ReadRequest;
-    blocking Write;
 "#;
 
 /// One image request: image id and scale (numerator of eighths).
@@ -241,13 +246,19 @@ pub fn build_with(
                 let Some(conn) = f.conn.clone() else {
                     return NodeOutcome::Err(1);
                 };
+                let d = c.driver.as_ref().expect("net mode");
                 let mut guard = conn.lock();
-                match read_request(&mut **guard) {
+                // Parse from the connection's read carry (slot lock
+                // under conn lock is the crate-wide order).
+                let mut carry = d.take_read_buf(f.socket);
+                let parsed = read_request_buffered(&mut **guard, &mut carry);
+                d.put_read_buf(f.socket, carry);
+                match parsed {
                     Ok(req) => {
                         drop(guard);
                         // A complete request head resets the idle
                         // reaper's deadline; partial heads don't.
-                        c.driver.as_ref().expect("net mode").mark_progress(f.socket);
+                        d.mark_progress(f.socket);
                         f.close = !req.keep_alive();
                         match ImageTag::from_path(&req.path) {
                             Some(tag) => {
@@ -267,7 +278,6 @@ pub fn build_with(
                     }
                     Err(ParseError::ConnectionClosed) => {
                         drop(guard);
-                        let d = c.driver.as_ref().expect("net mode");
                         d.remove(f.socket);
                         NodeOutcome::Err(2)
                     }
@@ -292,19 +302,22 @@ pub fn build_with(
                 }
             });
 
+            // Enqueue-and-complete: head and JPEG go into one pooled
+            // buffer and one non-blocking submit; the reactor drains
+            // any tail on writability.
             let c = ctx.clone();
-            reg.node_blocking("Write", move |f: &mut ImageFlow| {
-                let Some(conn) = f.conn.clone() else {
-                    return NodeOutcome::Err(1);
-                };
+            let jpeg_head = Response::ok("image/jpeg", Vec::new());
+            reg.node("Write", move |f: &mut ImageFlow| {
+                let d = c.driver.as_ref().expect("net mode");
                 let jpeg = f.jpeg.as_ref().expect("hit or compressed");
-                let resp = Response::ok("image/jpeg", jpeg.as_ref().clone());
-                let mut guard = conn.lock();
-                if resp.write_to(&mut **guard, !f.close).is_ok() {
-                    c.bytes_out
-                        .fetch_add(resp.wire_len(!f.close) as u64, Ordering::Relaxed);
+                let mut bytes = d.take_write_buf();
+                jpeg_head.write_head(&mut bytes, jpeg.len(), !f.close);
+                bytes.extend_from_slice(jpeg);
+                let len = bytes.len() as u64;
+                if d.submit_write_buf(f.socket, bytes) {
+                    c.bytes_out.fetch_add(len, Ordering::Relaxed);
                 } else {
-                    f.close = true;
+                    f.close = true; // connection already gone
                 }
                 NodeOutcome::Ok
             });
@@ -418,7 +431,8 @@ pub fn build_with(
         c.served.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = &c.driver {
             if f.close {
-                d.remove(f.socket);
+                // Deferred close: the response drains first.
+                d.remove_when_flushed(f.socket);
             } else {
                 d.arm(f.socket);
             }
@@ -428,12 +442,16 @@ pub fn build_with(
 
     let c = ctx.clone();
     reg.node("FourOhFour", move |f: &mut ImageFlow| {
-        if let Some(conn) = f.conn.clone() {
-            let mut guard = conn.lock();
-            let _ = Response::not_found().write_to(&mut **guard, false);
-        }
         if let Some(d) = &c.driver {
-            d.remove(f.socket);
+            let mut bytes = d.take_write_buf();
+            Response::not_found()
+                .write_to(&mut bytes, false)
+                .expect("serializing a response to memory cannot fail");
+            if d.submit_write_buf(f.socket, bytes) {
+                d.remove_when_flushed(f.socket);
+            } else {
+                d.remove(f.socket);
+            }
         }
         NodeOutcome::Ok
     });

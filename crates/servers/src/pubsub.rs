@@ -457,8 +457,14 @@ fn build_spec(
                                 // slow-loris publisher stays reapable.
                                 c.driver.mark_progress(token);
                             }
-                            c.driver.put_read_buf(token, scratch);
+                            // Arm before putting the partial line back:
+                            // it cannot complete without new bytes, so it
+                            // must not trigger the carry's immediate
+                            // re-signal. Only this source thread takes
+                            // the carry, so the put lands before the
+                            // watch's `Readable` is handled.
                             c.driver.arm(token);
+                            c.driver.put_read_buf(token, scratch);
                         }
                     }
                 }

@@ -17,8 +17,9 @@
 //! `Listen` drains a whole reactor round per poll and hands the burst
 //! to the runtime as one `SourceOutcome::Batch` (one shard-queue lock
 //! downstream), responses serialize into the driver's pooled buffers,
-//! and request heads parse into per-connection scratch — the
-//! steady-state request path performs no hashing and no heap
+//! and requests parse from the connection's read carry — one `recv`
+//! per request head, pipelined requests kept for the next flow — so
+//! the steady-state request path performs no hashing and no heap
 //! allocation.
 
 use crate::builder::{RunningServer, ServerSpec};
@@ -111,9 +112,8 @@ impl WebCtx {
     /// allocation.
     fn send_response(&self, token: Token, resp: &Response, close: bool) -> bool {
         let mut bytes = self.driver.take_write_buf();
-        bytes.reserve(resp.wire_len(!close));
-        resp.write_to(&mut bytes, !close)
-            .expect("serializing a response to memory cannot fail");
+        resp.write_head(&mut bytes, resp.body.len(), !close);
+        bytes.extend_from_slice(&resp.body);
         let len = bytes.len() as u64;
         let ok = self.driver.submit_write_buf(token, bytes);
         if ok {
@@ -261,13 +261,12 @@ fn build_spec(
         };
         f.conn = Some(conn.clone());
         let mut guard = conn.lock();
-        // The request head parses into the connection's scratch buffer,
-        // reused across every request on a keep-alive connection (slot
-        // lock under conn lock is the crate-wide order, so taking it
-        // here is safe).
-        let mut scratch = c.driver.take_read_buf(f.token);
-        let parsed = read_request_buffered(&mut **guard, &mut scratch);
-        c.driver.put_read_buf(f.token, scratch);
+        // The request parses from the connection's read carry, which
+        // keeps any pipelined bytes for the next flow (slot lock under
+        // conn lock is the crate-wide order, so taking it here is safe).
+        let mut carry = c.driver.take_read_buf(f.token);
+        let parsed = read_request_buffered(&mut **guard, &mut carry);
+        c.driver.put_read_buf(f.token, carry);
         match parsed {
             Ok(req) => {
                 drop(guard);
