@@ -282,7 +282,10 @@ fn run_poller_backend(
         docroot,
     ))
     .runtime(RuntimeKind::event_driven_sharded(2, 4))
-    .backend(backend)
+    .net(flux_net::NetConfig {
+        backend,
+        ..flux_net::NetConfig::default()
+    })
     .spawn();
     let name = server.ctx.driver.poller_backend();
     let report = flux_bench::run_slow_reader_tcp_load(
@@ -561,7 +564,7 @@ fn adaptive_shards_json(points: &[AdaptiveModePoint], shards: usize, quick: bool
     if cores == 1 {
         out.push_str(
             "  \"note\": \"1-core host: parking can only remove scheduler pressure, not \
-             reclaim cores; rerun on a multi-core runner (the multicore-bench CI job) for \
+             reclaim cores; rerun on a multi-core runner (the bench-smoke CI job) for \
              the scaling record\",\n",
         );
     }
@@ -1218,10 +1221,6 @@ fn main() {
     }
 
     if should(11) {
-        // The env knobs would pin one interpreter (or distort the
-        // fairness budget) for both sides; the ablation owns the sweep.
-        std::env::remove_var("FLUX_FUSE");
-        std::env::remove_var("FLUX_FUSE_BUDGET");
         let secs11 = if quick { secs.min(0.3) } else { secs };
         let mut t11 = Table::new(
             "Ablation 11: stage fusion — fused segments vs per-node queue turns (MemNet web, 64 clients)",
@@ -1374,8 +1373,11 @@ fn main() {
         ))
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
         .overload(OverloadPolicy::bounded(QUEUE_CAP))
-        .max_conns(hold_target + 2 * active + 256)
-        .idle_timeout(Some(Duration::from_secs(60)))
+        .net(flux_net::NetConfig {
+            max_conns: hold_target + 2 * active + 256,
+            idle_timeout: Some(Duration::from_secs(60)),
+            ..flux_net::NetConfig::default()
+        })
         .spawn();
         let srv = server.handle.server().clone();
 

@@ -11,8 +11,9 @@
 //!
 //! It is also a connection-scale harness: one thread holds `conns`
 //! TCP connections (mostly idle — the C1M shape), of which `active`
-//! cycle keep-alive requests, multiplexed over the same epoll-backed
-//! [`flux_net::Poller`] the server's reactor uses. Nothing here spawns
+//! cycle keep-alive requests, multiplexed over the platform-default
+//! [`flux_net::Poller`] (epoll on Linux) whatever backend the server
+//! under test runs. Nothing here spawns
 //! a thread per connection, so the held-connection count is bounded by
 //! fds, not threads.
 

@@ -2,9 +2,8 @@
 //! shards (Linux `sched_setaffinity`, raw FFI — the offline build has
 //! no `libc` crate).
 //!
-//! Pinning is on by default when the host has more than one core and
-//! can be disabled with `FLUX_PIN=0`. The reactor pins to the last
-//! core; `flux-runtime` pins shard `N` to core `N mod host_cores`
+//! Pinning is on whenever the host has more than one core. The reactor
+//! pins to the last core; `flux-runtime` pins shard `N` to core `N mod host_cores`
 //! through this same module, so session-affine queues stop bouncing
 //! between caches under steal-heavy load.
 
@@ -15,10 +14,9 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// True when thread pinning should be attempted: more than one core
-/// and not opted out via `FLUX_PIN=0`.
+/// True when thread pinning should be attempted: more than one core.
 pub fn should_pin() -> bool {
-    host_cores() > 1 && std::env::var("FLUX_PIN").as_deref() != Ok("0")
+    host_cores() > 1
 }
 
 #[cfg(target_os = "linux")]

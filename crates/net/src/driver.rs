@@ -62,7 +62,7 @@
 //! buffered the bytes, so steady-state response serialization performs
 //! no heap allocation. [`ConnDriver::remove_when_flushed`] defers a
 //! close until every queued byte has drained, and
-//! [`ConnDriver::set_max_pending_out`] bounds each connection's buffer
+//! [`NetConfig::max_pending_out`] bounds each connection's buffer
 //! (replacing the blocking path's socket-buffer backpressure) so a peer
 //! that never reads cannot grow server memory without limit.
 //!
@@ -109,35 +109,29 @@ fn make_token(slot: u32, gen: u32) -> Token {
 /// Network-layer configuration, consumed by [`ConnDriver::with_config`]
 /// and carried by `flux_servers::ServerBuilder` so every server,
 /// example, bench harness and test constructs its driver the same way.
+/// It is fixed at construction: the driver has no runtime setters.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Which readiness backend multiplexes fd-backed transports.
     /// Defaults to epoll on Linux (io_uring is opt-in until it has
-    /// broader soak time); `FLUX_POLLER=poll|epoll|uring` overrides at
-    /// runtime. A backend that fails its capability probe falls back
-    /// down the chain (uring → epoll → poll) and the substitution is
-    /// counted in [`DriverCounters::poller_fallbacks`].
+    /// broader soak time); `NetConfig::default()` honours
+    /// `FLUX_POLLER=poll|epoll|uring` and panics on any other value. A
+    /// backend that fails its capability probe falls back down the
+    /// chain (uring → epoll → poll) and the substitution is counted in
+    /// [`DriverCounters::poller_fallbacks`].
     #[cfg(unix)]
     pub backend: crate::poller::PollerBackend,
     /// Per-connection output-buffer bound for the non-blocking write
-    /// path (see [`ConnDriver::set_max_pending_out`]). Default 64 MiB.
+    /// path: a submission that would exceed it fails and the connection
+    /// is removed, so a peer that never reads cannot grow server memory
+    /// without bound. Default 64 MiB.
     pub max_pending_out: usize,
-    /// How long event consumers (server `Listen` sources) block in
-    /// [`ConnDriver::next_event`] per poll before re-checking their
-    /// shutdown flag. Default 20 ms.
-    pub io_timeout: Duration,
     /// Hard cap on live registered connections (edge admission). An
     /// accept at capacity is completed and immediately closed — the
     /// kernel backlog keeps draining, the peer sees a clean reset-ish
     /// close instead of a hung SYN — and counted in
     /// [`DriverCounters::accepts_governed`]. `0` = unlimited (default).
     pub max_conns: usize,
-    /// Token-bucket accept-rate bound in accepts/second (edge
-    /// admission): the acceptor delays between accepts once the bucket
-    /// (burst = one second's worth) empties, counting each delayed
-    /// accept in [`DriverCounters::accepts_governed`]. `0` = unlimited
-    /// (default).
-    pub accept_rate: u32,
     /// Idle / slow-loris reaping deadline: a connection that makes no
     /// *application progress* (request completed, response drained —
     /// see [`ConnDriver::mark_progress`]) for this long is removed by
@@ -149,14 +143,24 @@ pub struct NetConfig {
 }
 
 impl Default for NetConfig {
+    /// The defaults, with the backend taken from `FLUX_POLLER` when it
+    /// is set — the one environment read in the library crates.
+    ///
+    /// # Panics
+    ///
+    /// When `FLUX_POLLER` holds anything but `poll`, `epoll` or
+    /// `uring`: an operator's typo must not silently run the default.
     fn default() -> Self {
         NetConfig {
             #[cfg(unix)]
-            backend: crate::poller::PollerBackend::default(),
+            backend: {
+                let value = std::env::var_os("FLUX_POLLER");
+                let value = value.as_ref().map(|v| v.to_string_lossy());
+                crate::poller::PollerBackend::from_env_value(value.as_deref())
+                    .unwrap_or_else(|e| panic!("{e}"))
+            },
             max_pending_out: 64 * 1024 * 1024,
-            io_timeout: Duration::from_millis(20),
             max_conns: 0,
-            accept_rate: 0,
             idle_timeout: None,
         }
     }
@@ -214,7 +218,7 @@ pub struct DriverCounters {
     /// `writes_submitted`).
     pub writes_shared: AtomicU64,
     /// Connections evicted because a submission would push their
-    /// output buffer past [`ConnDriver::set_max_pending_out`] — the
+    /// output buffer past [`NetConfig::max_pending_out`] — the
     /// slow-consumer policy: drop the subscriber, never buffer without
     /// bound.
     pub slow_consumer_evicted: AtomicU64,
@@ -226,10 +230,8 @@ pub struct DriverCounters {
     /// as `Incoming`). With the overload books, `accepts_admitted +
     /// accepts_governed` equals the accepts the listener completed.
     pub accepts_admitted: AtomicU64,
-    /// Accepts refused or delayed by edge admission: at
-    /// [`NetConfig::max_conns`] capacity the connection is closed on
-    /// the spot; past the [`NetConfig::accept_rate`] token bucket the
-    /// acceptor stalls until a token accrues. Either way the work never
+    /// Accepts refused by edge admission: at [`NetConfig::max_conns`]
+    /// capacity the connection is closed on the spot. The work never
     /// enters the system — refused at the edge, counted, not queued.
     pub accepts_governed: AtomicU64,
     /// Connections retired by the idle sweep: no application progress
@@ -324,15 +326,12 @@ pub struct ConnDriver {
     write_bufs: Arc<BytePool>,
     /// Recycled event vectors for the reactor's per-round batches.
     event_batches: Arc<BatchPool<DriverEvent>>,
-    /// Per-connection output-buffer bound (see
-    /// [`ConnDriver::set_max_pending_out`]).
-    max_pending_out: AtomicUsize,
+    /// Per-connection output-buffer bound ([`NetConfig::max_pending_out`]).
+    max_pending_out: usize,
     /// Live-connection cap for edge admission (0 = unlimited).
-    max_conns: AtomicUsize,
-    /// Accept-rate bound in accepts/second (0 = unlimited).
-    accept_rate: AtomicU64,
+    max_conns: usize,
     /// Idle-reaping deadline in milliseconds (0 = reaping off).
-    idle_timeout_ms: AtomicU64,
+    idle_timeout_ms: u64,
     /// The instant progress stamps are measured from.
     epoch: Instant,
     /// Next idle sweep due, in epoch-millis: the CAS here dedupes the
@@ -368,11 +367,25 @@ impl ConnDriver {
     /// A driver configured explicitly — the path every
     /// `flux_servers::ServerBuilder` takes.
     pub fn with_config(config: &NetConfig) -> Self {
+        Self::with_poller(
+            config,
+            #[cfg(unix)]
+            crate::poller::create_poller(config.backend),
+        )
+    }
+
+    /// [`ConnDriver::with_config`] over an already-built poller, which
+    /// must come from resolving `config.backend` (tests inject a
+    /// refused io_uring probe here).
+    pub(crate) fn with_poller(
+        config: &NetConfig,
+        #[cfg(unix)] poller: Box<dyn crate::poller::Poller>,
+    ) -> Self {
         let (tx, rx) = unbounded();
         let event_batches = Arc::new(BatchPool::new(8));
         #[cfg(unix)]
         let reactor =
-            crate::reactor::Reactor::new(tx.clone(), event_batches.clone(), config.backend);
+            crate::reactor::Reactor::new(tx.clone(), event_batches.clone(), config.backend, poller);
         let counters = Arc::new(DriverCounters::default());
         #[cfg(unix)]
         if reactor.backend_fell_back() {
@@ -391,12 +404,9 @@ impl ConnDriver {
             watch_batch: Arc::new(Mutex::new(Vec::new())),
             write_bufs: Arc::new(BytePool::default()),
             event_batches,
-            max_pending_out: AtomicUsize::new(config.max_pending_out),
-            max_conns: AtomicUsize::new(config.max_conns),
-            accept_rate: AtomicU64::new(config.accept_rate as u64),
-            idle_timeout_ms: AtomicU64::new(
-                config.idle_timeout.map_or(0, |d| d.as_millis() as u64),
-            ),
+            max_pending_out: config.max_pending_out,
+            max_conns: config.max_conns,
+            idle_timeout_ms: config.idle_timeout.map_or(0, |d| d.as_millis() as u64),
             epoch: Instant::now(),
             reap_next_due: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -421,7 +431,7 @@ impl ConnDriver {
     }
 
     /// True when the reactor thread pinned itself to a core (multi-core
-    /// hosts with `FLUX_PIN` unset; see [`crate::affinity`]).
+    /// hosts; see [`crate::affinity`]).
     #[cfg(unix)]
     pub fn reactor_pinned(&self) -> bool {
         self.reactor.pinned()
@@ -554,41 +564,6 @@ impl ConnDriver {
         self.get(token).map_or(0, |c| c.lock().pending_out())
     }
 
-    /// Caps how many bytes may sit in one connection's output buffer.
-    /// The blocking write path had natural backpressure (the socket
-    /// buffer stalled the writer); the non-blocking path replaces it
-    /// with this explicit bound: a submission that would exceed it
-    /// fails and the connection is removed, so a peer that never reads
-    /// cannot grow server memory without bound.
-    pub fn set_max_pending_out(&self, bytes: usize) {
-        self.max_pending_out.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Caps live connections. Past the cap the acceptor still calls
-    /// `accept` (clearing the kernel backlog) but closes the socket
-    /// immediately, counted in [`DriverCounters::accepts_governed`].
-    /// `0` removes the cap.
-    pub fn set_max_conns(&self, n: usize) {
-        self.max_conns.store(n, Ordering::Relaxed);
-    }
-
-    /// Bounds the accept rate (connections/second, token bucket with a
-    /// one-second burst allowance). `0` removes the bound.
-    pub fn set_accept_rate(&self, per_sec: u32) {
-        self.accept_rate.store(per_sec as u64, Ordering::Relaxed);
-    }
-
-    /// Arms idle/slow-loris reaping: a connection that makes no
-    /// *application* progress (a parsed request, a completed write
-    /// drain, an explicit [`ConnDriver::mark_progress`]) for `timeout`
-    /// is removed by the periodic sweep. Raw received bytes do not
-    /// count — a peer trickling one header byte per second stays
-    /// reapable. `None` disables reaping.
-    pub fn set_idle_timeout(&self, timeout: Option<Duration>) {
-        let ms = timeout.map_or(0, |d| d.as_millis() as u64);
-        self.idle_timeout_ms.store(ms, Ordering::Relaxed);
-    }
-
     /// Milliseconds since driver construction — the clock `progress`
     /// stamps are taken against.
     fn now_ms(&self) -> u64 {
@@ -616,7 +591,7 @@ impl ConnDriver {
     /// *reader* being drained by the reactor is progress in flight, not
     /// idleness. Cold path: one brief per-slot lock per live slot.
     pub fn reap_idle(&self) -> usize {
-        let timeout = self.idle_timeout_ms.load(Ordering::Relaxed);
+        let timeout = self.idle_timeout_ms;
         if timeout == 0 {
             return 0;
         }
@@ -673,7 +648,7 @@ impl ConnDriver {
     /// concurrent callers (the reactor tick and the acceptor loop) do
     /// at most one sweep per interval between them.
     fn maybe_reap(&self) {
-        let timeout = self.idle_timeout_ms.load(Ordering::Relaxed);
+        let timeout = self.idle_timeout_ms;
         if timeout == 0 {
             return;
         }
@@ -754,7 +729,7 @@ impl ConnDriver {
     /// per call is (eventually) emitted, in FIFO submission order per
     /// connection; the bytes themselves are transmitted in submission
     /// order. On failure — including a buffer overflow past
-    /// [`ConnDriver::set_max_pending_out`] — the connection is removed
+    /// [`NetConfig::max_pending_out`] — the connection is removed
     /// (which fails any earlier still-pending submissions too).
     pub fn submit_write(self: &Arc<Self>, token: Token, bytes: &[u8]) -> bool {
         self.submit_with(token, bytes.len(), |conn| conn.enqueue_write(bytes))
@@ -813,7 +788,7 @@ impl ConnDriver {
         // bookkeeping below, so a reactor drain completing concurrently
         // cannot retire this submission before its bytes are buffered.
         let mut conn = shared.lock();
-        let cap = self.max_pending_out.load(Ordering::Relaxed);
+        let cap = self.max_pending_out;
         let already = conn.pending_out();
         if already.saturating_add(len) > cap {
             drop(conn);
@@ -1188,12 +1163,10 @@ impl ConnDriver {
     /// [`ConnDriver::stop`] is called.
     ///
     /// This loop is also the **accept governor**: past
-    /// [`ConnDriver::set_max_conns`] a fresh socket is accepted (so the
+    /// [`NetConfig::max_conns`] a fresh socket is accepted (so the
     /// kernel backlog keeps draining — the peer sees a prompt close,
     /// not a hung SYN) and dropped, counted in
-    /// [`DriverCounters::accepts_governed`]; under
-    /// [`ConnDriver::set_accept_rate`] admissions pace themselves
-    /// through a token bucket with a one-second burst allowance.
+    /// [`DriverCounters::accepts_governed`].
     pub fn spawn_acceptor(self: &Arc<Self>, listener: Box<dyn Listener>) {
         use std::io::ErrorKind;
         let this = self.clone();
@@ -1220,10 +1193,6 @@ impl ConnDriver {
             let seed = &*listener as *const dyn Listener as *const () as u64;
             let mut retries: u64 = 0;
             let mut backoff = Duration::from_millis(10);
-            // Token bucket: refilled at `accept_rate` tokens/sec, capped
-            // at one second's worth (the burst allowance).
-            let mut tokens: f64 = 0.0;
-            let mut refilled_at = Instant::now();
             loop {
                 if this.stopping.load(Ordering::Relaxed) {
                     return;
@@ -1232,51 +1201,20 @@ impl ConnDriver {
                 match listener.accept() {
                     Ok(conn) => {
                         backoff = Duration::from_millis(10);
-                        let max = this.max_conns.load(Ordering::Relaxed);
+                        let max = this.max_conns;
                         if max != 0 && this.conn_count.load(Ordering::Relaxed) >= max {
                             // At the connection cap: close immediately.
                             // Cheaper than registering + reaping, and it
                             // keeps draining the kernel backlog so
                             // waiting peers fail fast instead of timing
-                            // out on an un-accepted SYN.
-                            drop(conn);
+                            // out on an un-accepted SYN. Counted before
+                            // the close, so a peer that sees EOF also
+                            // sees the refusal in the books.
                             this.counters
                                 .accepts_governed
                                 .fetch_add(1, Ordering::Relaxed);
+                            drop(conn);
                             continue;
-                        }
-                        let rate = this.accept_rate.load(Ordering::Relaxed);
-                        if rate > 0 {
-                            let now = Instant::now();
-                            tokens = (tokens
-                                + now.duration_since(refilled_at).as_secs_f64() * rate as f64)
-                                .min(rate as f64);
-                            refilled_at = now;
-                            if tokens < 1.0 {
-                                // Out of budget: hold the accepted socket
-                                // until a token accrues (pacing, not
-                                // rejection), counted once as governed.
-                                this.counters
-                                    .accepts_governed
-                                    .fetch_add(1, Ordering::Relaxed);
-                                while tokens < 1.0 {
-                                    if this.stopping.load(Ordering::Relaxed) {
-                                        return;
-                                    }
-                                    let deficit = (1.0 - tokens) / rate as f64;
-                                    std::thread::sleep(
-                                        Duration::from_secs_f64(deficit)
-                                            .min(Duration::from_millis(5)),
-                                    );
-                                    let now = Instant::now();
-                                    tokens = (tokens
-                                        + now.duration_since(refilled_at).as_secs_f64()
-                                            * rate as f64)
-                                        .min(rate as f64);
-                                    refilled_at = now;
-                                }
-                            }
-                            tokens -= 1.0;
                         }
                         this.counters
                             .accepts_admitted
@@ -1956,8 +1894,10 @@ mod tests {
     #[test]
     #[cfg(unix)]
     fn overflowing_pending_out_fails_the_write() {
-        let (driver, _client, token) = tcp_pair();
-        driver.set_max_pending_out(256 * 1024);
+        let (driver, _client, token) = tcp_pair_with(&NetConfig {
+            max_pending_out: 256 * 1024,
+            ..NetConfig::default()
+        });
         assert!(driver.submit_write(token, &vec![0u8; 512 * 1024]));
         assert_eq!(
             driver.next_event(Duration::from_secs(2)),
@@ -2036,13 +1976,58 @@ mod tests {
         driver.stop();
     }
 
+    /// A uring request whose capability probe fails must come up on
+    /// epoll — a working driver, not an error — with the substitution
+    /// reported through both `poller_backend()` and the
+    /// `poller_fallbacks` counter, never silently. A host that has
+    /// io_uring honours the real request and records no fallback.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn refused_uring_falls_back_to_epoll_and_reports_it() {
+        use crate::poller::{create_poller_probed, PollerBackend};
+        let config = NetConfig {
+            backend: PollerBackend::Uring,
+            ..NetConfig::default()
+        };
+        let refused = || Err(std::io::ErrorKind::PermissionDenied.into());
+        let driver =
+            ConnDriver::with_poller(&config, create_poller_probed(config.backend, refused));
+        assert_eq!(
+            driver.poller_backend(),
+            "epoll",
+            "failed probe must land on the epoll link of the fallback chain"
+        );
+        assert_eq!(
+            driver.counters().poller_fallbacks.load(Ordering::Relaxed),
+            1,
+            "the substitution must be counted, not silent"
+        );
+        drop(driver);
+
+        if crate::poller::uring_available() {
+            let driver = ConnDriver::with_config(&config);
+            assert_eq!(driver.poller_backend(), "uring");
+            assert_eq!(
+                driver.counters().poller_fallbacks.load(Ordering::Relaxed),
+                0
+            );
+        } else {
+            eprintln!("notice: io_uring unavailable here, honoured-request leg skipped");
+        }
+    }
+
     /// Accepts one TCP connection through the driver and returns
     /// `(driver, client, token)`.
     #[cfg(unix)]
     fn tcp_pair() -> (Arc<ConnDriver>, crate::tcp::TcpConn, Token) {
+        tcp_pair_with(&NetConfig::default())
+    }
+
+    #[cfg(unix)]
+    fn tcp_pair_with(config: &NetConfig) -> (Arc<ConnDriver>, crate::tcp::TcpConn, Token) {
         let acceptor = crate::tcp::TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();
-        let driver = Arc::new(ConnDriver::new());
+        let driver = Arc::new(ConnDriver::with_config(config));
         driver.spawn_acceptor(Box::new(acceptor));
         let client = crate::tcp::TcpConn::connect(&addr).unwrap();
         let DriverEvent::Incoming(token) = driver.next_event(Duration::from_secs(2)).unwrap()

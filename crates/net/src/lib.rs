@@ -14,8 +14,9 @@
 //!   (the paper's select loop). [`ConnDriver::submit_write`] queues
 //!   response bytes without blocking; `WriteDone`/`WriteFailed` events
 //!   report completion. Construction goes through [`NetConfig`]
-//!   (backend choice, output-buffer bound, event-poll timeout) —
-//!   servers reach it via `flux_servers::ServerBuilder`;
+//!   (backend choice, output-buffer bound, connection cap, idle
+//!   deadline), fixed for the driver's life — servers reach it via
+//!   `flux_servers::ServerBuilder`;
 //! * **reactor** — the single multiplexer thread behind the driver:
 //!   every registered TCP socket carries read/write *interest*, output
 //!   buffers drain on writability instead of parking an I/O worker in
@@ -28,8 +29,9 @@
 //!   kernel scan poll(2) inherently pays), a raw-FFI `epoll(7)`
 //!   backend (O(ready) per wakeup, one-shot re-arm), the Linux
 //!   default, and a raw-FFI `io_uring` backend in readiness mode (see
-//!   below). `FLUX_POLLER=poll|epoll|uring` selects at runtime; all
-//!   three pass the same conformance suite in `tests/`. A kqueue
+//!   below). [`NetConfig::backend`] selects one (its default honours
+//!   `FLUX_POLLER=poll|epoll|uring`, the crate's only environment
+//!   read); all three pass the same conformance suite in `tests/`. A kqueue
 //!   backend would slot in behind the same four methods.
 //!
 //! ## io_uring: readiness vs completion mode
@@ -63,7 +65,7 @@
 //!
 //! io_uring availability varies (pre-5.1 kernels lack it; seccomp
 //!  policies in container runtimes commonly deny it), so `uring` is
-//! opt-in (`FLUX_POLLER=uring` or `NetConfig.backend`) behind a
+//! opt-in (`NetConfig.backend`, or `FLUX_POLLER=uring`) behind a
 //! construction-time capability probe: if real ring setup fails the
 //! driver comes up on epoll, and the substitution is *reported* —
 //! [`ConnDriver::poller_backend`] names the resolved backend and
@@ -110,7 +112,7 @@
 //!   limit.
 //!
 //! On multi-core hosts the reactor thread pins itself to a core
-//! ([`affinity`]; opt out with `FLUX_PIN=0`). The runtime pins its
+//! ([`affinity`]). The runtime pins its
 //! dispatcher shards through the same module.
 //!
 //! ## Overload invariants
@@ -122,9 +124,7 @@
 //! * **Accept governing.** [`NetConfig::max_conns`] bounds live
 //!   connections — past it an accepted socket is closed immediately
 //!   (peers fail fast instead of parking in a backlog the server will
-//!   never drain) — and [`NetConfig::accept_rate`] token-buckets the
-//!   accept loop, *pacing* admission (the socket waits for a token)
-//!   rather than rejecting. Both are counted
+//!   never drain). Refusals and admissions are both counted
 //!   ([`DriverCounters::accepts_governed`] vs
 //!   [`DriverCounters::accepts_admitted`]), so `admitted + governed`
 //!   always reconciles with accepts observed.

@@ -26,7 +26,7 @@
 //!   and [`Poller::wait`] flushes the whole batch *and* collects
 //!   completions in a single `io_uring_enter`, so a round with K
 //!   arm/disarm changes costs **one syscall** instead of K `epoll_ctl`s
-//!   plus an `epoll_wait`. Opt in with `FLUX_POLLER=uring`; a runtime
+//!   plus an `epoll_wait`. Opt in through `NetConfig::backend`; a runtime
 //!   capability probe (`io_uring_setup` returning `ENOSYS`/`EPERM` in
 //!   seccomp'd containers or on old kernels) falls back to epoll, and
 //!   the resolved backend is reported by `ConnDriver::poller_backend()`
@@ -51,8 +51,10 @@
 //! `crates/net/tests/` checks.
 //!
 //! Backend selection: [`PollerBackend::default()`] picks epoll on
-//! Linux and poll elsewhere; the `FLUX_POLLER` environment variable
-//! (`poll` / `epoll` / `uring`) overrides at runtime. Fallback is a
+//! Linux and poll elsewhere. `NetConfig::default()` applies the
+//! `FLUX_POLLER` environment variable (`poll` / `epoll` / `uring`,
+//! parsed by `PollerBackend::from_env_value`) on top; that is the
+//! one place the library reads the environment. Fallback is a
 //! chain — a uring that fails its capability probe falls back to
 //! epoll, an epoll that fails to initialize falls back to poll — and
 //! always resolved at construction, so `Poller::name` (and everything
@@ -161,77 +163,88 @@ impl PollerBackend {
             PollerBackend::Uring => "uring",
         }
     }
+
+    /// Parses an operator's `FLUX_POLLER` value: `None` (unset) is the
+    /// platform default, `poll`/`epoll`/`uring` select that backend,
+    /// and anything else is an error naming the accepted values, so a
+    /// typo never silently runs the default.
+    pub(crate) fn from_env_value(value: Option<&str>) -> Result<PollerBackend, String> {
+        match value {
+            None => Ok(PollerBackend::default()),
+            Some("poll") => Ok(PollerBackend::Poll),
+            Some("epoll") => Ok(PollerBackend::Epoll),
+            Some("uring") => Ok(PollerBackend::Uring),
+            Some(other) => Err(format!(
+                "FLUX_POLLER={other:?} is not a readiness backend; expected poll|epoll|uring"
+            )),
+        }
+    }
 }
 
 impl Default for PollerBackend {
-    /// Epoll on Linux, poll elsewhere — unless `FLUX_POLLER` overrides
-    /// (`FLUX_POLLER=poll|epoll|uring` selects at runtime, the knob the
-    /// CI matrix legs exercise). io_uring stays opt-in until the
+    /// Epoll on Linux, poll elsewhere. io_uring stays opt-in until the
     /// completion-mode work lands: in pure readiness mode its win over
     /// epoll is the batched control plane, which only pays off once
     /// arm/disarm traffic dominates.
     fn default() -> Self {
-        match std::env::var("FLUX_POLLER").as_deref() {
-            Ok("poll") => PollerBackend::Poll,
-            Ok("epoll") => PollerBackend::Epoll,
-            Ok("uring") => PollerBackend::Uring,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    PollerBackend::Epoll
-                } else {
-                    PollerBackend::Poll
-                }
-            }
+        if cfg!(target_os = "linux") {
+            PollerBackend::Epoll
+        } else {
+            PollerBackend::Poll
         }
     }
 }
 
 /// True when this host can actually set up an io_uring (kernel support
-/// present, not refused by seccomp/rlimits, not disabled via
-/// `FLUX_URING_DISABLE=1`). The probe performs a real
+/// present, not refused by seccomp/rlimits). The probe performs a real
 /// `io_uring_setup` and tears it down again — the same call
 /// [`create_poller`] makes, so a `true` here means `Uring` will be
 /// honoured, not guessed at.
 pub fn uring_available() -> bool {
+    probe_uring().is_ok()
+}
+
+/// Sets up a real io_uring readiness backend, or reports why this host
+/// cannot.
+fn probe_uring() -> io::Result<Box<dyn Poller>> {
     #[cfg(target_os = "linux")]
     {
-        UringPoller::new().is_ok()
+        UringPoller::new().map(|p| Box::new(p) as Box<dyn Poller>)
     }
     #[cfg(not(target_os = "linux"))]
     {
-        false
+        Err(io::ErrorKind::Unsupported.into())
     }
 }
 
 /// Instantiates the chosen backend, resolving the fallback chain at
 /// construction: `Uring` falls back to [`EpollPoller`] when the
-/// capability probe fails (old kernel, seccomp'd container,
-/// `FLUX_URING_DISABLE=1`), and `Epoll` falls back to [`PollPoller`]
-/// (non-Linux hosts, or a failed `epoll_create1`). The returned
-/// poller's [`Poller::name`] is therefore always the backend that
-/// actually runs.
+/// capability probe fails (old kernel, seccomp'd container), and
+/// `Epoll` falls back to [`PollPoller`] (non-Linux hosts, or a failed
+/// `epoll_create1`). The returned poller's [`Poller::name`] is
+/// therefore always the backend that actually runs.
 pub fn create_poller(backend: PollerBackend) -> Box<dyn Poller> {
+    create_poller_probed(backend, probe_uring)
+}
+
+/// [`create_poller`] with the io_uring probe supplied by the caller, so
+/// tests can drive the fallback chain on a host whose real ring setup
+/// would succeed.
+pub(crate) fn create_poller_probed(
+    backend: PollerBackend,
+    uring: fn() -> io::Result<Box<dyn Poller>>,
+) -> Box<dyn Poller> {
     match backend {
         PollerBackend::Poll => Box::new(PollPoller::new()),
         PollerBackend::Epoll => {
             #[cfg(target_os = "linux")]
-            let poller: Box<dyn Poller> = match EpollPoller::new() {
-                Ok(p) => Box::new(p),
-                Err(_) => Box::new(PollPoller::new()),
-            };
-            #[cfg(not(target_os = "linux"))]
-            let poller: Box<dyn Poller> = Box::new(PollPoller::new());
-            poller
+            if let Ok(p) = EpollPoller::new() {
+                return Box::new(p);
+            }
+            Box::new(PollPoller::new())
         }
         PollerBackend::Uring => {
-            #[cfg(target_os = "linux")]
-            let poller: Box<dyn Poller> = match UringPoller::new() {
-                Ok(p) => Box::new(p),
-                Err(_) => create_poller(PollerBackend::Epoll),
-            };
-            #[cfg(not(target_os = "linux"))]
-            let poller: Box<dyn Poller> = Box::new(PollPoller::new());
-            poller
+            uring().unwrap_or_else(|_| create_poller_probed(PollerBackend::Epoll, uring))
         }
     }
 }
@@ -974,16 +987,8 @@ impl UringPoller {
     /// (`ENOSYS` pre-5.1 kernels, `EPERM` under seccomp policies that
     /// deny io_uring, `ENOMEM`/`EPERM` under tight memlock limits —
     /// this is the capability probe `create_poller` and
-    /// [`uring_available`] rely on). `FLUX_URING_DISABLE=1` forces the
-    /// probe to fail, which is how the fallback path is tested on hosts
-    /// where the real setup would succeed.
+    /// [`uring_available`] rely on).
     pub fn new() -> io::Result<Self> {
-        if std::env::var("FLUX_URING_DISABLE").as_deref() == Ok("1") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "io_uring disabled via FLUX_URING_DISABLE",
-            ));
-        }
         let mut params = sys::uring::io_uring_params {
             flags: sys::uring::IORING_SETUP_CQSIZE,
             cq_entries: Self::CQ_ENTRIES,
@@ -1559,9 +1564,26 @@ mod tests {
     }
 
     #[test]
-    fn env_override_selects_backend() {
-        // Not testing the env var itself (process-global), just the
-        // fallback construction paths.
+    fn flux_poller_values_parse_and_typos_fail() {
+        assert_eq!(
+            PollerBackend::from_env_value(None),
+            Ok(PollerBackend::default())
+        );
+        for b in [
+            PollerBackend::Poll,
+            PollerBackend::Epoll,
+            PollerBackend::Uring,
+        ] {
+            assert_eq!(PollerBackend::from_env_value(Some(b.label())), Ok(b));
+        }
+        for typo in ["urng", "", "EPOLL"] {
+            let err = PollerBackend::from_env_value(Some(typo)).unwrap_err();
+            assert!(err.contains("poll|epoll|uring"), "{err}");
+        }
+    }
+
+    #[test]
+    fn create_poller_resolves_the_fallback_chain() {
         let p = create_poller(PollerBackend::Poll);
         assert_eq!(p.name(), "poll");
         let p = create_poller(PollerBackend::Epoll);
@@ -1658,9 +1680,4 @@ mod tests {
         assert!(events[0].readable);
         p.delete(fd).unwrap();
     }
-
-    // The FLUX_URING_DISABLE construction knob is tested in the
-    // dedicated `uring_fallback` integration binary: env vars are
-    // process-global, so flipping it here would race the parallel
-    // tests that probe ring availability.
 }

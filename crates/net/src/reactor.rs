@@ -63,12 +63,12 @@
 //! immediately. [`Reactor::stop`] joins the thread, which exits
 //! promptly on the self-pipe wakeup, so no reactor thread can outlive
 //! the driver that spawned it. On multi-core hosts the thread pins
-//! itself to the last core (`FLUX_PIN=0` opts out).
+//! itself to the last core.
 
 #![cfg(unix)]
 
 use crate::driver::{token_slot, Delivery, DriverEvent, Token};
-use crate::poller::{create_poller, Interest, Poller, PollerBackend, PollerEvent};
+use crate::poller::{Interest, Poller, PollerBackend, PollerEvent};
 use crate::pool::BatchPool;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
@@ -217,14 +217,17 @@ pub struct Reactor {
 }
 
 impl Reactor {
+    /// A reactor over `poller`, the resolution of the `requested`
+    /// backend (see [`crate::poller::create_poller`]); a mismatch
+    /// between the two is reported by [`Reactor::backend_fell_back`].
     pub(crate) fn new(
         tx: Sender<Delivery>,
         batch_pool: Arc<BatchPool<DriverEvent>>,
-        backend: PollerBackend,
+        requested: PollerBackend,
+        poller: Box<dyn Poller>,
     ) -> Arc<Self> {
-        let poller = create_poller(backend);
         let backend_name = poller.name();
-        let backend_fell_back = backend_name != backend.label();
+        let backend_fell_back = backend_name != requested.label();
         Arc::new(Reactor {
             shared: Mutex::new(Shared {
                 control: Vec::new(),
@@ -853,7 +856,12 @@ mod tests {
 
     fn test_reactor(backend: PollerBackend) -> (Arc<Reactor>, EventRx) {
         let (tx, rx) = unbounded();
-        let reactor = Reactor::new(tx, Arc::new(BatchPool::new(4)), backend);
+        let reactor = Reactor::new(
+            tx,
+            Arc::new(BatchPool::new(4)),
+            backend,
+            crate::poller::create_poller(backend),
+        );
         (
             reactor,
             EventRx {
@@ -1087,7 +1095,13 @@ mod tests {
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();
         let (tx, rx) = unbounded();
-        let reactor = Reactor::new(tx, Arc::new(BatchPool::new(4)), PollerBackend::default());
+        let backend = crate::driver::NetConfig::default().backend;
+        let reactor = Reactor::new(
+            tx,
+            Arc::new(BatchPool::new(4)),
+            backend,
+            crate::poller::create_poller(backend),
+        );
         let mut clients = Vec::new();
         let mut servers = Vec::new();
         for i in 0..16u64 {

@@ -16,7 +16,7 @@
 //! provably awake. [`ShardStat::batches`]/[`ShardStat::batch_events`]
 //! expose the amortization factor, and on multi-core hosts each
 //! `flux-shard-N` thread pins itself to core `N mod host_cores`
-//! (`flux_net::affinity`; opt out with `FLUX_PIN=0`), with the
+//! (`flux_net::affinity`), with the
 //! resulting state recorded in [`ServerStats::pinning`].
 //!
 //! The dispatcher set is also **elastic**: with
@@ -71,8 +71,8 @@
 //!
 //! ## Fusion boundaries
 //!
-//! By default ([`server::FusionMode::On`], builder knob + `FLUX_FUSE`
-//! env) the server executes *fused segments*: maximal straight-line
+//! By default ([`server::FusionMode::On`], the builder's fusion knob)
+//! the server executes *fused segments*: maximal straight-line
 //! `Exec`/`Release` chains, computed by `flux-core`'s fusion pass and
 //! re-fused here with the registry's [`NodeRegistry::node_blocking`]
 //! knowledge, run as **one queue turn** per segment instead of one per
@@ -84,10 +84,10 @@
 //! as the unfused walk would, and Ball–Larus path sums are
 //! bit-identical (each fused transition replays the original
 //! profiling edge). Dispatcher fairness generalizes from the old
-//! one-exec-per-turn latch to a *step budget* (`FLUX_FUSE_BUDGET`,
-//! default = the longest segment's execution count): a turn may spend
-//! that many node executions before the event is re-queued.
-//! [`server::FusionMode::Off`] (or `FLUX_FUSE=0`) keeps the per-vertex
+//! one-exec-per-turn latch to a *step budget*, derived as the longest
+//! segment's execution count: a turn may spend that many node
+//! executions before the event is re-queued.
+//! [`server::FusionMode::Off`] keeps the per-vertex
 //! interpreter as the semantic oracle and ablation baseline, and
 //! [`ShardStat::fused_execs`] / [`ServerStats::describe`] report how
 //! many node executions rode inside fused segments.
@@ -134,7 +134,6 @@ pub mod registry;
 pub mod runtimes;
 pub mod server;
 pub mod stats;
-pub mod testutil;
 
 pub use locks::{FlowId, LockManager, ReentrantRwLock};
 pub use profile::{HotOrder, HotPath, PathProfiler};

@@ -519,9 +519,9 @@ struct ShardSet<P> {
     /// decremented at `Step::Done`.
     live: AtomicUsize,
     /// Fairness budget: node executions one event may spend per queue
-    /// turn before the dispatcher requeues it (`FLUX_FUSE_BUDGET`,
-    /// default = the server's longest fused segment). A budget of 1
-    /// with fusion off reproduces the old one-exec-per-turn latch.
+    /// turn before the dispatcher requeues it: the server's longest
+    /// fused segment ([`FluxServer::max_segment_execs`]), so one node
+    /// execution per turn with fusion off.
     step_budget: usize,
     /// Per-shard queue depth at which *source* submissions shed
     /// (`usize::MAX` under [`OverloadPolicy::Unbounded`]). Only
@@ -789,11 +789,7 @@ fn start_event_driven<P: Send + 'static>(
     adaptive: AdaptivePolicy,
     overload: OverloadPolicy,
 ) -> Vec<JoinHandle<()>> {
-    let step_budget = std::env::var("FLUX_FUSE_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or_else(|| server.max_segment_execs().max(1));
+    let step_budget = server.max_segment_execs();
     let max_depth = match overload {
         OverloadPolicy::Unbounded => usize::MAX,
         OverloadPolicy::Bounded(cfg) => cfg.max_shard_depth.max(1),
@@ -837,7 +833,7 @@ fn start_event_driven<P: Send + 'static>(
     ast.parks.store(0, Ordering::Relaxed);
     ast.wakes.store(0, Ordering::Relaxed);
 
-    // Core pinning (opt out with FLUX_PIN=0): shard N takes core
+    // Core pinning (multi-core hosts): shard N takes core
     // N mod host_cores, so session-affine queues stay cache-local. The
     // state lands in ServerStats so bench artifacts can record whether
     // a measurement ran pinned.

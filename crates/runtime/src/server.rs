@@ -30,8 +30,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Whether the server fuses straight-line vertex chains into single-step
-/// segments. The `FLUX_FUSE` env var (`0`/`off` or `1`/`on`) overrides
-/// whatever the builder chose.
+/// segments. Chosen once, at construction ([`FluxServer::with_options`],
+/// or the server builder's fusion knob).
 ///
 /// `Off` is not an ablation leftover: it is the fusion oracle. The
 /// per-node interpreter defines what a flow means, and the fusion
@@ -43,18 +43,6 @@ pub enum FusionMode {
     On,
     /// Interpret vertex by vertex (paper-faithful baseline).
     Off,
-}
-
-impl FusionMode {
-    /// The `FLUX_FUSE` operator override, if set to something
-    /// recognizable.
-    pub fn from_env() -> Option<FusionMode> {
-        match std::env::var("FLUX_FUSE").ok()?.trim() {
-            "0" | "off" | "false" => Some(FusionMode::Off),
-            "1" | "on" | "true" => Some(FusionMode::On),
-            _ => None,
-        }
-    }
 }
 
 /// One member of a fused segment, carrying its original vertex id so
@@ -214,8 +202,7 @@ impl<P: Send + 'static> FluxServer<P> {
     }
 
     /// [`FluxServer::new`]/[`FluxServer::with_profiling`] with an
-    /// explicit [`FusionMode`] (the builder's fusion knob; `FLUX_FUSE`
-    /// still wins when set).
+    /// explicit [`FusionMode`] (the builder's fusion knob).
     pub fn with_options(
         program: CompiledProgram,
         registry: NodeRegistry<P>,
@@ -231,7 +218,6 @@ impl<P: Send + 'static> FluxServer<P> {
         profile: bool,
         fusion: FusionMode,
     ) -> Result<Self, Vec<String>> {
-        let fusion = FusionMode::from_env().unwrap_or(fusion);
         registry.validate(&program)?;
         let program = Arc::new(program);
         let graph = &program.graph;
@@ -373,15 +359,14 @@ impl<P: Send + 'static> FluxServer<P> {
         self.shed_handler.clone()
     }
 
-    /// The effective fusion mode this server was built with (builder
-    /// choice after the `FLUX_FUSE` override).
+    /// The fusion mode this server was built with.
     pub fn fusion_mode(&self) -> FusionMode {
         self.fusion
     }
 
     /// Largest node-execution count of any fused segment (1 under
-    /// [`FusionMode::Off`]): the event dispatcher's default step budget,
-    /// so the longest segment still fits in one queue turn.
+    /// [`FusionMode::Off`]): the event dispatcher's step budget, so the
+    /// longest segment still fits in one queue turn.
     pub fn max_segment_execs(&self) -> usize {
         self.max_fused_execs
     }

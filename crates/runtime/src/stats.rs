@@ -274,7 +274,7 @@ impl OverloadStat {
 /// with core affinity.
 #[derive(Debug, Default)]
 pub struct PinningStat {
-    /// Pinning was attempted (multi-core host, `FLUX_PIN` not `0`).
+    /// Pinning was attempted (the host has more than one core).
     pub enabled: std::sync::atomic::AtomicBool,
     /// Hardware threads observed at start.
     pub host_cores: AtomicU64,

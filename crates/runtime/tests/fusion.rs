@@ -1,8 +1,7 @@
 //! Integration tests for stage fusion on the sharded event-driven
-//! runtime: the `FLUX_FUSE`/`FLUX_FUSE_BUDGET` operator overrides, the
-//! `fused_execs` accounting, and completion under both interpreters.
+//! runtime: the `fused_execs` accounting and completion under both
+//! interpreters.
 
-use flux_runtime::testutil::test_env_lock;
 use flux_runtime::{
     start, FluxServer, FusionMode, NodeOutcome, NodeRegistry, RuntimeKind, SourceOutcome,
 };
@@ -36,40 +35,11 @@ fn chain_server(total: u64, fusion: FusionMode) -> Arc<FluxServer<u64>> {
     Arc::new(FluxServer::with_options(program, reg, false, fusion).unwrap())
 }
 
-/// `FLUX_FUSE` wins over the builder choice, in both directions.
-#[test]
-fn flux_fuse_env_overrides_builder() {
-    let _env = test_env_lock();
-    std::env::set_var("FLUX_FUSE", "0");
-    let s = chain_server(0, FusionMode::On);
-    assert_eq!(s.fusion_mode(), FusionMode::Off);
-    assert_eq!(s.max_segment_execs(), 1);
-
-    std::env::set_var("FLUX_FUSE", "1");
-    let s = chain_server(0, FusionMode::Off);
-    assert_eq!(s.fusion_mode(), FusionMode::On);
-    assert_eq!(s.max_segment_execs(), 3, "A -> B -> C fuses whole");
-
-    // Unset: the builder decides.
-    std::env::remove_var("FLUX_FUSE");
-    assert_eq!(
-        chain_server(0, FusionMode::Off).fusion_mode(),
-        FusionMode::Off
-    );
-    assert_eq!(
-        chain_server(0, FusionMode::On).fusion_mode(),
-        FusionMode::On
-    );
-}
-
 /// On the sharded runtime, fused execution completes every flow, the
 /// per-shard `fused_execs` counter records the chain executions, and
 /// `ServerStats::describe` surfaces them.
 #[test]
 fn sharded_runtime_counts_fused_execs() {
-    let _env = test_env_lock();
-    std::env::remove_var("FLUX_FUSE");
-    std::env::remove_var("FLUX_FUSE_BUDGET");
     const TOTAL: u64 = 300;
     let server = chain_server(TOTAL, FusionMode::On);
     let handle = start(server.clone(), RuntimeKind::event_driven_sharded(2, 1));
@@ -89,25 +59,4 @@ fn sharded_runtime_counts_fused_execs() {
     handle.join();
     assert_eq!(server.stats.finished(), TOTAL);
     assert_eq!(server.stats.total_fused_execs(), 0);
-}
-
-/// A starvation-sized `FLUX_FUSE_BUDGET=1` (the old one-exec-per-turn
-/// latch) still completes fused segments: the first execution of a turn
-/// is always allowed even when the segment alone overdraws the budget.
-#[test]
-fn tiny_fuse_budget_does_not_starve_segments() {
-    let _env = test_env_lock();
-    std::env::set_var("FLUX_FUSE_BUDGET", "1");
-    const TOTAL: u64 = 200;
-    for kind in [
-        RuntimeKind::event_driven_sharded(1, 1),
-        RuntimeKind::event_driven_sharded(4, 1),
-    ] {
-        let server = chain_server(TOTAL, FusionMode::On);
-        let handle = start(server.clone(), kind);
-        handle.join();
-        assert_eq!(server.stats.finished(), TOTAL);
-        assert_eq!(server.stats.total_fused_execs(), TOTAL * 3);
-    }
-    std::env::remove_var("FLUX_FUSE_BUDGET");
 }

@@ -219,7 +219,6 @@ pub fn build(
     let program = flux_core::compile(FLUX_SRC).expect("BitTorrent Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(config.listener);
-    let io_timeout = net.io_timeout;
     let store = PieceStore::new(config.meta, config.file).expect("seed file matches metainfo");
     let ctx = Arc::new(BtCtx {
         driver,
@@ -243,7 +242,7 @@ pub fn build(
         if !c.running.load(Ordering::SeqCst) {
             return SourceOutcome::Shutdown;
         }
-        match c.driver.next_event(io_timeout) {
+        match c.driver.next_event(crate::LISTEN_POLL) {
             None => SourceOutcome::Skip,
             Some(DriverEvent::Incoming(token)) => {
                 SourceOutcome::New(BtFlow::empty(token, true, c.driver.get(token)))

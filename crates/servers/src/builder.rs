@@ -10,7 +10,7 @@
 //! ```ignore
 //! let server = ServerBuilder::new(WebSpec::new(listener, docroot))
 //!     .runtime(RuntimeKind::event_driven_sharded(4, 4))
-//!     .net(NetConfig::default())   // backend, max_pending_out, io_timeout
+//!     .net(NetConfig { max_conns: 10_000, ..NetConfig::default() })
 //!     .profile(true)
 //!     .spawn();
 //! ```
@@ -19,10 +19,12 @@
 //! compiling the program and binding the registry (via the server's
 //! [`ServerSpec`]), toggling path profiling, installing the network
 //! driver's counters into [`flux_runtime::ServerStats`], and starting
-//! the chosen [`RuntimeKind`]. The [`NetConfig`] travels into the
-//! spec's `build`, so the readiness backend (poll/epoll), the
-//! per-connection output-buffer bound and the event-poll timeout are
-//! decided in exactly one place.
+//! the chosen [`RuntimeKind`]. Its knobs — `runtime`, `adaptive`,
+//! `overload`, `fusion`, `profile`, `stats` and `net` — are the whole
+//! configuration surface. The [`NetConfig`] travels into the spec's
+//! `build`, so the readiness backend, the per-connection output-buffer
+//! bound, the connection cap and the idle deadline are decided in
+//! exactly one place.
 
 use flux_core::CompiledProgram;
 use flux_net::{ConnDriver, NetConfig};
@@ -91,7 +93,7 @@ impl<S: ServerSpec> ServerBuilder<S> {
     /// A builder with the defaults: the paper's event-driven runtime
     /// (one dispatcher shard, four I/O workers), the default
     /// [`NetConfig`] (epoll on Linux with poll fallback, honouring
-    /// `FLUX_POLLER`), profiling off, stats on.
+    /// `FLUX_POLLER`), fusion on, profiling off, stats on.
     pub fn new(spec: S) -> Self {
         ServerBuilder {
             spec,
@@ -130,7 +132,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
     /// executes fused straight-line segments in one queue turn,
     /// [`FusionMode::Off`] runs the per-vertex interpreter, the oracle
     /// fusion is tested against.
-    /// The `FLUX_FUSE` env var overrides either choice at start.
     pub fn fusion(mut self, mode: FusionMode) -> Self {
         self.fusion = Some(mode);
         self
@@ -149,56 +150,11 @@ impl<S: ServerSpec> ServerBuilder<S> {
         self
     }
 
-    /// Replaces the whole network configuration.
+    /// Sets the network configuration (readiness backend, output-buffer
+    /// bound, connection cap, idle deadline); override single fields
+    /// with `NetConfig { .., ..NetConfig::default() }`.
     pub fn net(mut self, net: NetConfig) -> Self {
         self.net = net;
-        self
-    }
-
-    /// Selects the readiness backend (poll or epoll) for this server's
-    /// driver.
-    #[cfg(unix)]
-    pub fn backend(mut self, backend: flux_net::PollerBackend) -> Self {
-        self.net.backend = backend;
-        self
-    }
-
-    /// Caps each connection's output buffer on the non-blocking write
-    /// path.
-    pub fn max_pending_out(mut self, bytes: usize) -> Self {
-        self.net.max_pending_out = bytes;
-        self
-    }
-
-    /// How long the server's `Listen` source blocks per event poll
-    /// before re-checking shutdown.
-    pub fn io_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.net.io_timeout = timeout;
-        self
-    }
-
-    /// Caps live connections on this server's driver: past the cap the
-    /// acceptor closes fresh sockets immediately (counted in
-    /// `accepts_governed`) instead of registering them. `0` (the
-    /// default) is unlimited.
-    pub fn max_conns(mut self, n: usize) -> Self {
-        self.net.max_conns = n;
-        self
-    }
-
-    /// Bounds the accept rate (connections/second token bucket with a
-    /// one-second burst). `0` (the default) is unlimited.
-    pub fn accept_rate(mut self, per_sec: u32) -> Self {
-        self.net.accept_rate = per_sec;
-        self
-    }
-
-    /// Arms idle/slow-loris reaping: connections with no application
-    /// progress for `timeout` are swept out by the reactor tick,
-    /// releasing their slab slot and poller watch. `None` (the
-    /// default) disables reaping.
-    pub fn idle_timeout(mut self, timeout: Option<std::time::Duration>) -> Self {
-        self.net.idle_timeout = timeout;
         self
     }
 
@@ -247,5 +203,38 @@ impl<S: ServerSpec> ServerBuilder<S> {
         }
         let handle = flux_runtime::start(Arc::new(server), self.runtime);
         RunningServer { handle, ctx }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::web::{self, WebSpec};
+    use flux_net::MemNet;
+
+    fn web_server(fusion: Option<FusionMode>) -> crate::web::WebServer {
+        let net = MemNet::new();
+        let listener = net.listen("web").unwrap();
+        let builder =
+            ServerBuilder::new(WebSpec::new(Box::new(listener), flux_http::DocRoot::new()));
+        match fusion {
+            Some(mode) => builder.fusion(mode),
+            None => builder,
+        }
+        .spawn()
+    }
+
+    /// The builder's fusion choice reaches the running server, and
+    /// leaving it unset means fused segments.
+    #[test]
+    fn fusion_choice_reaches_the_server() {
+        let server = web_server(Some(FusionMode::Off));
+        assert_eq!(server.handle.server().fusion_mode(), FusionMode::Off);
+        assert_eq!(server.handle.server().max_segment_execs(), 1);
+        web::stop(server);
+
+        let server = web_server(None);
+        assert_eq!(server.handle.server().fusion_mode(), FusionMode::On);
+        web::stop(server);
     }
 }

@@ -87,8 +87,8 @@ impl ServerSpec for GameConfig {
     type Flow = GameFlow;
     type Ctx = Arc<GameCtx>;
 
-    fn build(self, net: &NetConfig) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
-        build(self, net)
+    fn build(self, _net: &NetConfig) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
+        build(self)
     }
 
     /// The game server speaks datagrams directly; there is no
@@ -98,14 +98,10 @@ impl ServerSpec for GameConfig {
     }
 }
 
-/// Builds the compiled program, registry and context. `net.io_timeout`
-/// bounds how long `ReceiveMove` blocks per datagram poll.
-pub fn build(
-    config: GameConfig,
-    net: &NetConfig,
-) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
+/// Builds the compiled program, registry and context. `ReceiveMove`
+/// blocks at most `LISTEN_POLL` (20 ms) per datagram poll.
+pub fn build(config: GameConfig) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
     let program = flux_core::compile(FLUX_SRC).expect("game server Flux program compiles");
-    let io_timeout = net.io_timeout;
     let ctx = Arc::new(GameCtx {
         socket: config.socket,
         world: Mutex::new(World::new(config.seed)),
@@ -128,7 +124,7 @@ pub fn build(
             return SourceOutcome::Shutdown;
         }
         let mut buf = [0u8; 256];
-        match c.socket.recv_from(&mut buf, Some(io_timeout)) {
+        match c.socket.recv_from(&mut buf, Some(crate::LISTEN_POLL)) {
             Ok(Some((n, from))) => match ClientMsg::decode(&buf[..n]) {
                 Some(msg) => SourceOutcome::New(GameFlow {
                     msg: Some(msg),
@@ -271,29 +267,34 @@ mod tests {
         .runtime(runtime)
         .spawn();
 
-        // Two clients join and move.
+        // Two clients join and move. Player 2 joins only once a
+        // broadcast shows player 1: the thread pool may apply two
+        // back-to-back datagrams in either order, and "first joiner"
+        // means first applied.
         let c1 = net.bind_datagram("p1").unwrap();
         let c2 = net.bind_datagram("p2").unwrap();
-        c1.send_to(&ClientMsg::Join { player: 1 }.encode(), "game")
-            .unwrap();
-        c2.send_to(&ClientMsg::Join { player: 2 }.encode(), "game")
-            .unwrap();
-
-        // Wait for a broadcast showing both players.
         let mut buf = [0u8; 2048];
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let snap = loop {
-            assert!(std::time::Instant::now() < deadline, "no broadcast");
-            if let Some((n, _)) = c1
-                .recv_from(&mut buf, Some(Duration::from_millis(200)))
-                .unwrap()
-            {
-                let snap = decode_snapshot(&buf[..n]).unwrap();
-                if snap.players.len() == 2 {
-                    break snap;
+        let mut snapshot_with = |players: usize| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            loop {
+                assert!(std::time::Instant::now() < deadline, "no broadcast");
+                if let Some((n, _)) = c1
+                    .recv_from(&mut buf, Some(Duration::from_millis(200)))
+                    .unwrap()
+                {
+                    let snap = decode_snapshot(&buf[..n]).unwrap();
+                    if snap.players.len() == players {
+                        return snap;
+                    }
                 }
             }
         };
+        c1.send_to(&ClientMsg::Join { player: 1 }.encode(), "game")
+            .unwrap();
+        snapshot_with(1);
+        c2.send_to(&ClientMsg::Join { player: 2 }.encode(), "game")
+            .unwrap();
+        let snap = snapshot_with(2);
         assert_eq!(snap.it, Some(1), "first joiner is it");
 
         // Move player 2 and observe the position change.

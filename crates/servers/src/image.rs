@@ -193,7 +193,6 @@ pub fn build_with(
     net: &NetConfig,
 ) -> (CompiledProgram, NodeRegistry<ImageFlow>, Arc<ImageCtx>) {
     let program = flux_core::compile(FLUX_SRC).expect("image server Flux program compiles");
-    let io_timeout = net.io_timeout;
     let driver = match &config.source {
         ImageSource::Net(_) => Some(Arc::new(ConnDriver::with_config(net))),
         ImageSource::Synthetic { .. } => None,
@@ -222,7 +221,7 @@ pub fn build_with(
             let c = ctx.clone();
             reg.source("Listen", move || {
                 let d = c.driver.as_ref().expect("net mode");
-                match d.next_event(io_timeout) {
+                match d.next_event(crate::LISTEN_POLL) {
                     None => SourceOutcome::Skip,
                     Some(DriverEvent::Incoming(token)) => {
                         d.arm(token);

@@ -5,8 +5,8 @@
 //! type consumed by the one typed [`ServerBuilder`]. The same server
 //! runs unchanged on any of the four runtimes — the paper's "runtime
 //! independence" claim, exercised by the test suites of every module —
-//! and, one layer down, on any readiness backend (`poll(2)` or
-//! `epoll(7)`, chosen through [`flux_net::NetConfig`]).
+//! and, one layer down, on any readiness backend (`poll(2)`,
+//! `epoll(7)` or io_uring, chosen through [`flux_net::NetConfig`]).
 //!
 //! | module | paper section | style | spec |
 //! |--------|---------------|-------|------|
@@ -36,8 +36,8 @@
 //! ```
 //!
 //! The builder decides runtime kind, network configuration (readiness
-//! backend, per-connection write-buffer bound, event-poll timeout) and
-//! the stats/profiling toggles in one place; each module keeps a
+//! backend, per-connection write-buffer bound, connection cap, idle
+//! deadline) and the stats/profiling toggles in one place; each module keeps a
 //! `stop` helper for orderly shutdown.
 
 pub mod bt;
@@ -49,6 +49,10 @@ pub mod pubsub;
 pub mod web;
 
 pub use builder::{RunningServer, ServerBuilder, ServerSpec};
+
+/// How long a server's `Listen` source blocks per event poll before
+/// yielding (`SourceOutcome::Skip`), so it re-checks shutdown promptly.
+pub(crate) const LISTEN_POLL: std::time::Duration = std::time::Duration::from_millis(20);
 
 /// Adapter publishing a [`flux_net::DriverCounters`] block through the
 /// runtime's [`flux_runtime::NetCounters`] stats view (the runtime

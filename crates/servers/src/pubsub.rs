@@ -394,7 +394,6 @@ fn build_spec(
     let program = flux_core::compile(FLUX_SRC).expect("pub/sub Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(listener);
-    let io_timeout = net.io_timeout;
     let ctx = Arc::new(PubSubCtx {
         driver,
         fanout: Arc::new(FanoutStat::default()),
@@ -421,7 +420,10 @@ fn build_spec(
     reg.source("Listen", move || {
         let mut buf = events.lock();
         buf.clear();
-        if c.driver.next_events(&mut buf, LISTEN_BATCH, io_timeout) == 0 {
+        if c.driver
+            .next_events(&mut buf, LISTEN_BATCH, crate::LISTEN_POLL)
+            == 0
+        {
             return SourceOutcome::Skip;
         }
         let mut flows: Vec<PubSubFlow> = Vec::new();

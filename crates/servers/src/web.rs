@@ -174,9 +174,6 @@ pub fn build(
 }
 
 /// Builds the compiled program, node registry and shared context.
-///
-/// `net.io_timeout` bounds how long `Listen` blocks before yielding
-/// (`SourceOutcome::Skip`) so shutdown stays responsive.
 pub fn build_with(
     listener: Box<dyn Listener>,
     docroot: DocRoot,
@@ -198,7 +195,6 @@ fn build_spec(
     let program = flux_core::compile(FLUX_SRC).expect("web server Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(listener);
-    let io_timeout = net.io_timeout;
     let mut busy_response = Vec::new();
     Response::error(503)
         .write_to(&mut busy_response, false)
@@ -230,7 +226,10 @@ fn build_spec(
     reg.source("Listen", move || {
         let mut buf = events.lock();
         buf.clear();
-        if c.driver.next_events(&mut buf, LISTEN_BATCH, io_timeout) == 0 {
+        if c.driver
+            .next_events(&mut buf, LISTEN_BATCH, crate::LISTEN_POLL)
+            == 0
+        {
             return SourceOutcome::Skip;
         }
         let mut flows: Vec<WebFlow> = Vec::with_capacity(buf.len());

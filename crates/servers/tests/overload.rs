@@ -11,7 +11,7 @@
 //! throughout.
 
 use flux_http::{read_response, DocRoot};
-use flux_net::{Conn as _, Listener as _, TcpAcceptor, TcpConn};
+use flux_net::{Conn as _, Listener as _, NetConfig, TcpAcceptor, TcpConn};
 use flux_runtime::RuntimeKind;
 use flux_servers::web;
 use std::io::{Read as _, Write as _};
@@ -40,7 +40,10 @@ fn slow_loris_is_reaped_while_healthy_clients_are_served() {
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
-        .idle_timeout(Some(Duration::from_millis(300)))
+        .net(NetConfig {
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..NetConfig::default()
+        })
         .spawn();
 
     // The loris: one byte of a request head, then silence. This wakes a
@@ -103,8 +106,11 @@ fn max_conns_closes_excess_connections_immediately() {
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
         .runtime(RuntimeKind::event_driven_sharded(2, 1))
-        .max_conns(2)
-        .idle_timeout(Some(Duration::from_secs(30)))
+        .net(NetConfig {
+            max_conns: 2,
+            idle_timeout: Some(Duration::from_secs(30)),
+            ..NetConfig::default()
+        })
         .spawn();
 
     // Two keep-alive connections occupy the cap.

@@ -6,8 +6,8 @@
 //!    typed `ServerBuilder`, which owns the remaining knobs: the
 //!    runtime kind, the adaptive shard policy (`AdaptivePolicy`: park
 //!    idle dispatchers, wake them on burst), the network configuration
-//!    (`NetConfig`: readiness backend, write-buffer bound, event-poll
-//!    timeout), the flow interpreter (`FusionMode`: fused straight-line
+//!    (`NetConfig`: readiness backend, write-buffer bound, connection
+//!    cap, idle deadline), the flow interpreter (`FusionMode`: fused straight-line
 //!    segments vs per-node queue turns) and the stats/profiling
 //!    toggles;
 //! 3. a *streaming* server through the same builder: the pub/sub
@@ -18,10 +18,10 @@
 //! 4. inspect what the compiler fused: the same dump `fluxc fused`
 //!    (alias `--dump-fused`) prints — each flow's straight-line
 //!    segments and the boundary reasons where fusion stops;
-//! 5. overload control through the same builder: `max_conns` governs
+//! 5. overload control through the same builder: `NetConfig::max_conns` governs
 //!    admission at the accept edge, `OverloadPolicy::bounded` caps the
 //!    shard queues so a flood sheds (the web server answers a prebuilt
-//!    503 via its `on_shed` handler), and `idle_timeout` reaps
+//!    503 via its `on_shed` handler), and `NetConfig::idle_timeout` reaps
 //!    connections that stop making application progress — all counted,
 //!    never silent.
 //!
@@ -169,8 +169,8 @@ fn main() {
 
     // Act 2: a real server through the one typed ServerBuilder. The
     // spec names the server; the builder owns runtime kind, NetConfig
-    // (readiness backend, per-connection write-buffer bound, event-poll
-    // timeout) and the stats/profile toggles.
+    // (readiness backend, per-connection write-buffer bound, connection
+    // cap, idle deadline) and the stats/profile toggles.
     use flux::net::{MemNet, NetConfig};
     use flux::servers::{web::WebSpec, ServerBuilder};
     use std::io::Write as _;
@@ -255,7 +255,7 @@ fn main() {
     // Act 4: what did the compiler fuse? Each flow's straight-line
     // Exec/Release chains run as one queue turn per segment on the
     // event runtime (FusionMode::On, the default; `.fusion(...)` on the
-    // builder or FLUX_FUSE=0 selects the per-node oracle). The dump
+    // builder selects the per-node oracle). The dump
     // below is exactly `fluxc fused` / `fluxc --dump-fused`: segments
     // first, then every boundary edge with the reason fusion stopped —
     // dispatch arms, error arms, acquires, blocking nodes, joins.
@@ -282,8 +282,11 @@ fn main() {
     let server = ServerBuilder::new(WebSpec::new(Box::new(listener), docroot))
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
         .overload(OverloadPolicy::bounded(64))
-        .max_conns(1)
-        .idle_timeout(Some(std::time::Duration::from_secs(5)))
+        .net(NetConfig {
+            max_conns: 1,
+            idle_timeout: Some(std::time::Duration::from_secs(5)),
+            ..NetConfig::default()
+        })
         .spawn();
 
     // The first connection takes the only admission slot...

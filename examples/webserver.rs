@@ -55,7 +55,7 @@ fn main() {
         });
     // The builder's NetConfig picks the readiness backend (epoll on
     // Linux, FLUX_POLLER overrides), the per-connection write-buffer
-    // bound and the Listen source's event-poll timeout.
+    // bound, the connection cap and the idle deadline.
     let net = NetConfig::default();
     // Adaptive shard scaling by default (FLUX_ADAPTIVE=0 opts out):
     // the controller parks idle dispatchers down to one and wakes them
